@@ -93,16 +93,30 @@ pub struct ScenarioMatrix {
 
 impl ScenarioMatrix {
     /// A matrix over the default attack and defense axes at nominal SNR.
+    ///
+    /// The default seed-hopping dwell is stretched to two pattern periods
+    /// where the default is shorter, so the matrix passes its own
+    /// [`validate`](ScenarioMatrix::validate) at every LFSR width.
     pub fn new(corpus: impl Into<PathBuf>, pattern: Vec<bool>, traces: Vec<String>) -> Self {
         let algo = clockmark_cpa::algo_override()
             .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&pattern));
         let defaults = ScenarioSpec::default();
+        let min_dwell = 2 * pattern.len() as u64;
+        let defenses = DefenseSpec::all_defaults()
+            .into_iter()
+            .map(|defense| match defense {
+                DefenseSpec::SeedHopping { dwell_cycles } => DefenseSpec::SeedHopping {
+                    dwell_cycles: dwell_cycles.max(min_dwell),
+                },
+                other => other,
+            })
+            .collect();
         ScenarioMatrix {
             corpus: corpus.into(),
             pattern,
             traces,
             attacks: AttackSpec::all_defaults(),
-            defenses: DefenseSpec::all_defaults(),
+            defenses,
             snrs: vec![1.0],
             amplitude_watts: defaults.amplitude_watts,
             noise_watts: defaults.noise_watts,

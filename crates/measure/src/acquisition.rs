@@ -1,4 +1,5 @@
-use crate::{gaussian, NoiseModel, Oscilloscope, PdnModel, ShuntProbe};
+use crate::noise::{NormalStream, NORMAL_BATCH};
+use crate::{NoiseModel, Oscilloscope, PdnModel, ShuntProbe};
 use clockmark_power::{Frequency, Power, PowerTrace};
 use rand::Rng;
 
@@ -172,48 +173,10 @@ impl Acquisition {
     /// level is auto-offset to the trace mean so the signal stays inside
     /// the ADC range, exactly like centring the trace on a scope screen.
     pub fn acquire<R: Rng + ?Sized>(&self, power: &PowerTrace, rng: &mut R) -> MeasuredTrace {
-        let k = self.samples_per_cycle().max(1);
         let _span = clockmark_obs::span("measure.acquire")
             .field("cycles", power.len())
-            .field("samples_per_cycle", k);
-        let dt = 1.0 / self.scope.sample_rate.hertz();
-        let t_cycle = self.f_clk.period_seconds();
-        let dc_offset = self.shunt.power_to_volts(power.mean());
-
-        let mut watts = Vec::with_capacity(power.len());
-        let mut drift = 0.0f64;
-        // PDN state: board voltage tracking the die voltage with a
-        // single-pole lag that persists across cycle boundaries.
-        let pdn_alpha = self.pdn.alpha(dt);
-        let mut pdn_state = power
-            .get(0)
-            .map(|p| self.shunt.power_to_volts(p) - dc_offset)
-            .unwrap_or(0.0);
-        for (cycle, p) in power.iter().enumerate() {
-            let v_true = self.shunt.power_to_volts(p) - dc_offset;
-            drift += gaussian(rng) * self.noise.drift_volts_per_cycle;
-            let t0 = cycle as f64 * t_cycle;
-            let mut acc = 0.0f64;
-            for s in 0..k {
-                let t = t0 + s as f64 * dt;
-                let v_board = if self.pdn.is_active() {
-                    pdn_state += pdn_alpha * (v_true - pdn_state);
-                    pdn_state
-                } else {
-                    v_true
-                };
-                let v = v_board
-                    + drift
-                    + self.noise.ripple_at(t)
-                    + gaussian(rng) * self.scope.vertical_noise_volts;
-                acc += self.scope.quantize(v);
-            }
-            let v_avg = acc / k as f64 + dc_offset;
-            watts.push(self.shunt.volts_to_power(v_avg).watts());
-        }
-        clockmark_obs::counter_add("measure.cycles", power.len() as u64);
-        clockmark_obs::counter_add("measure.samples", (power.len() * k) as u64);
-        MeasuredTrace { watts }
+            .field("samples_per_cycle", self.samples_per_cycle().max(1));
+        self.digitise(power, rng, |cycle, _| cycle)
     }
 
     /// Digitises a per-cycle power trace while the device clock is under a
@@ -237,56 +200,98 @@ impl Acquisition {
         if attack.is_none() {
             return self.acquire(power, rng);
         }
-        let k = self.samples_per_cycle().max(1);
         let _span = clockmark_obs::span("measure.acquire_attacked")
             .field("cycles", power.len())
-            .field("samples_per_cycle", k);
-        let dt = 1.0 / self.scope.sample_rate.hertz();
+            .field("samples_per_cycle", self.samples_per_cycle().max(1));
         let t_cycle = self.f_clk.period_seconds();
-        let dc_offset = self.shunt.power_to_volts(power.mean());
-
         // Two-pointer walk over the device's warped timebase: `dev_end`
         // is when (in nominal seconds) device cycle `dev` finishes.
         let mut dev: usize = 0;
         let mut dev_end = t_cycle * attack.cycle_duration(0);
         let last = power.len().saturating_sub(1);
+        self.digitise(power, rng, move |_, t| {
+            while t >= dev_end && dev < last {
+                dev += 1;
+                dev_end += t_cycle * attack.cycle_duration(dev as u64);
+            }
+            dev
+        })
+    }
 
-        let mut watts = Vec::with_capacity(power.len());
+    /// The sampling kernel both captures share. Every nominal cycle takes
+    /// one drift draw, then `samples_per_cycle()` scope samples: the die
+    /// voltage of device cycle `device_cycle(cycle, t)` at sample time
+    /// `t`, smoothed by the PDN, plus drift, ripple and white noise, each
+    /// quantised; their mean is the cycle's value. The rng is consumed as
+    /// one fixed stream of normals (drift, then the cycle's samples), so
+    /// both captures draw exactly the same count.
+    fn digitise<R, D>(&self, power: &PowerTrace, rng: &mut R, mut device_cycle: D) -> MeasuredTrace
+    where
+        R: Rng + ?Sized,
+        D: FnMut(usize, f64) -> usize,
+    {
+        let cycles = power.len();
+        let k = self.samples_per_cycle().max(1);
+        let dt = 1.0 / self.scope.sample_rate.hertz();
+        let t_cycle = self.f_clk.period_seconds();
+        let shunt = self.shunt;
+        let dc_offset = shunt.power_to_volts(power.mean());
+        let die_volts = |watts: f64| shunt.power_to_volts(Power::from_watts(watts)) - dc_offset;
+
+        // Local copies, so the compiler sees their derived constants (2πf,
+        // half-scale, LSB) as loop invariants and hoists them.
+        let (scope, noise, pdn) = (self.scope, self.noise, self.pdn);
+        let pdn_alpha = pdn.alpha(dt);
+
+        let power = power.as_watts();
+        let mut watts = Vec::with_capacity(cycles);
+        let mut normals = NormalStream::new(cycles.saturating_mul(k.saturating_add(1)));
         let mut drift = 0.0f64;
-        let pdn_alpha = self.pdn.alpha(dt);
-        let mut pdn_state = power
-            .get(0)
-            .map(|p| self.shunt.power_to_volts(p) - dc_offset)
-            .unwrap_or(0.0);
-        for cycle in 0..power.len() {
-            drift += gaussian(rng) * self.noise.drift_volts_per_cycle;
+        // PDN state: board voltage tracking the die voltage with a
+        // single-pole lag that persists across cycle boundaries.
+        let mut pdn_state = power.first().map_or(0.0, |&w| die_volts(w));
+        // The device cycle whose die voltage `v_true` holds.
+        let mut live = usize::MAX;
+        let mut v_true = 0.0f64;
+        // Ripple of a run of samples, computed ahead of the accumulation so
+        // the libm `sin` calls run back to back.
+        let mut ripple = vec![0.0f64; k.min(NORMAL_BATCH)];
+        for cycle in 0..cycles {
+            drift += normals.take(rng, 1)[0] * noise.drift_volts_per_cycle;
             let t0 = cycle as f64 * t_cycle;
             let mut acc = 0.0f64;
-            for s in 0..k {
-                let t = t0 + s as f64 * dt;
-                while t >= dev_end && dev < last {
-                    dev += 1;
-                    dev_end += t_cycle * attack.cycle_duration(dev as u64);
+            let mut s = 0;
+            while s < k {
+                // The cycle's samples, in runs of whatever the current
+                // batch of normals still holds.
+                let white = normals.take(rng, k - s);
+                let ripple = &mut ripple[..white.len()];
+                for (i, r) in ripple.iter_mut().enumerate() {
+                    *r = noise.ripple_at(t0 + (s + i) as f64 * dt);
                 }
-                let p = power.get(dev).unwrap_or_default();
-                let v_true = self.shunt.power_to_volts(p) - dc_offset;
-                let v_board = if self.pdn.is_active() {
-                    pdn_state += pdn_alpha * (v_true - pdn_state);
-                    pdn_state
-                } else {
-                    v_true
-                };
-                let v = v_board
-                    + drift
-                    + self.noise.ripple_at(t)
-                    + gaussian(rng) * self.scope.vertical_noise_volts;
-                acc += self.scope.quantize(v);
+                for (i, (&g, &r)) in white.iter().zip(ripple.iter()).enumerate() {
+                    let t = t0 + (s + i) as f64 * dt;
+                    let dev = device_cycle(cycle, t);
+                    if dev != live {
+                        live = dev;
+                        v_true = die_volts(power[dev]);
+                    }
+                    let v_board = if pdn.is_active() {
+                        pdn_state += pdn_alpha * (v_true - pdn_state);
+                        pdn_state
+                    } else {
+                        v_true
+                    };
+                    let v = v_board + drift + r + g * scope.vertical_noise_volts;
+                    acc += scope.quantize(v);
+                }
+                s += white.len();
             }
             let v_avg = acc / k as f64 + dc_offset;
-            watts.push(self.shunt.volts_to_power(v_avg).watts());
+            watts.push(shunt.volts_to_power(v_avg).watts());
         }
-        clockmark_obs::counter_add("measure.cycles", power.len() as u64);
-        clockmark_obs::counter_add("measure.samples", (power.len() * k) as u64);
+        clockmark_obs::counter_add("measure.cycles", cycles as u64);
+        clockmark_obs::counter_add("measure.samples", cycles.saturating_mul(k) as u64);
         MeasuredTrace { watts }
     }
 }
@@ -429,6 +434,22 @@ mod tests {
         let y = chain().acquire(&PowerTrace::new(), &mut StdRng::seed_from_u64(1));
         assert!(y.is_empty());
         assert_eq!(y.into_power_trace().len(), 0);
+    }
+
+    #[test]
+    fn a_tiny_clock_does_not_size_buffers_by_samples_per_cycle() {
+        // 5·10¹¹ samples per cycle: any buffer sized by it would abort.
+        let mut acq = chain();
+        acq.f_clk = Frequency::from_hertz(1e-3);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!(acq.acquire(&PowerTrace::new(), &mut rng).is_empty());
+        let attack = CaptureAttack {
+            jitter_sigma_cycles: 0.1,
+            ..CaptureAttack::none()
+        };
+        assert!(acq
+            .acquire_attacked(&PowerTrace::new(), &attack, &mut rng)
+            .is_empty());
     }
 
     /// A period-2 square wave for desynchronization tests: any whole-cycle

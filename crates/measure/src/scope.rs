@@ -60,11 +60,32 @@ impl Oscilloscope {
 
     /// Quantises a voltage (relative to the configured offset) to the ADC
     /// grid, clipping at the full-scale limits.
+    #[inline]
     pub fn quantize(&self, volts: f64) -> f64 {
         let half = self.full_scale_volts / 2.0;
         let clipped = volts.clamp(-half, half);
         let lsb = self.lsb_volts();
-        (clipped / lsb).round() * lsb
+        round_half_away(clipped / lsb) * lsb
+    }
+}
+
+/// Exactly [`f64::round`] (ties away from zero, sign of zero kept) without
+/// the libm call, so the quantiser's loop stays inline.
+///
+/// Below 2⁵² in magnitude, adding and removing 2⁵² rounds to the nearest
+/// integer with ties to even — exact, as every integer in that binade is
+/// representable — and a tie rounded down is then bumped up. Everything
+/// else (integers already, ±∞, NaN) is its own rounding.
+#[inline]
+fn round_half_away(x: f64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let a = x.abs();
+    if a < TWO_52 {
+        let even = (a + TWO_52) - TWO_52;
+        let rounded = if a - even == 0.5 { even + 1.0 } else { even };
+        rounded.copysign(x)
+    } else {
+        x
     }
 }
 
@@ -110,7 +131,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn inline_rounding_equals_libm_round_on_edge_cases() {
+        const TWO_52: f64 = 4_503_599_627_370_496.0;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            -0.49999999999999994,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            TWO_52 - 0.5,
+            -(TWO_52 - 0.5),
+            TWO_52 - 1.5,
+            TWO_52,
+            -TWO_52,
+            TWO_52 + 1.0,
+            2.0 * TWO_52 + 2.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Every half-integer and its neighbours over a range of binades.
+        for i in -4096i64..=4096 {
+            let h = i as f64 + 0.5;
+            cases.extend([h, h.next_up(), h.next_down(), i as f64]);
+        }
+        for e in 0..=53 {
+            let h = 2f64.powi(e) + 0.5;
+            cases.extend([h, -h, h.next_up(), h.next_down()]);
+        }
+        for x in cases {
+            assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "{x:e}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn inline_rounding_equals_libm_round(bits in any::<u64>(), x in -1e6f64..1e6) {
+            let y = f64::from_bits(bits);
+            prop_assert_eq!(round_half_away(y).to_bits(), y.round().to_bits());
+            prop_assert_eq!(round_half_away(x).to_bits(), x.round().to_bits());
+        }
+
         #[test]
         fn quantization_error_is_bounded_by_half_lsb(v in -0.39f64..0.39) {
             let scope = Oscilloscope::mso6032a();

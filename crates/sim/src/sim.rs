@@ -3,38 +3,47 @@ use clockmark_netlist::{
     CellId, CellKind, ClockInput, ClockRootId, DataSource, Netlist, SignalExpr, SignalId,
 };
 
-/// A prepared, owned view of a cell for fast per-cycle evaluation.
+/// A buffer or clock gate, compiled to clock-net indices. Its output net
+/// is the root count plus its position among the sources.
 #[derive(Debug, Clone, Copy)]
-enum PreparedCell {
-    Register {
-        group: usize,
-        clock: PreparedClock,
-        data: DataSource,
-        sync_enable: Option<usize>,
-    },
-    Icg {
-        group: usize,
-        clock: PreparedClock,
-        enable: usize,
-    },
-    Buffer {
-        group: usize,
-        clock: PreparedClock,
-    },
+struct ClockSource {
+    /// The net driving the source's clock input (always an earlier net:
+    /// a clock input must exist before the cell it drives).
+    input: u32,
+    /// The gate's enable signal; `None` for a buffer.
+    enable: Option<u32>,
+    group: u32,
 }
 
+/// The registers of one group clocked by one net: an edge on the net is
+/// `count` register clock events for the group.
 #[derive(Debug, Clone, Copy)]
-enum PreparedClock {
-    Root(usize),
-    Cell(usize),
+struct ClockBucket {
+    net: u32,
+    group: u32,
+    count: u32,
+}
+
+/// A register whose output can change, with its next-state function.
+#[derive(Debug, Clone, Copy)]
+struct LiveRegister {
+    cell: u32,
+    net: u32,
+    group: u32,
+    sync_enable: Option<u32>,
+    data: DataSource,
 }
 
 /// A deterministic cycle-based simulator over a [`Netlist`].
 ///
-/// Construction snapshots the netlist into flat arrays, so the simulator
+/// Construction compiles the netlist once, in O(cells), so the simulator
 /// owns its state and the netlist can be dropped or mutated afterwards.
-/// Each [`step`](CycleSim::step) advances one full clock cycle with standard
-/// synchronous semantics:
+/// The compiled form has three parts: the clock sources in netlist order,
+/// one register count per (clock net, group) so a clock edge is one add
+/// per bucket, and the list of registers whose value can change at all
+/// (`Hold` registers, and `Constant` ones already at their constant,
+/// never do). Each [`step`](CycleSim::step) advances one full clock cycle
+/// with standard synchronous semantics:
 ///
 /// 1. combinational signals are evaluated from *pre-edge* register outputs
 ///    and external drivers;
@@ -47,21 +56,28 @@ enum PreparedClock {
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct CycleSim {
-    cells: Vec<PreparedCell>,
     signal_exprs: Vec<SignalExpr>,
+    sources: Vec<ClockSource>,
+    buckets: Vec<ClockBucket>,
+    live: Vec<LiveRegister>,
+    /// Per cell, the net [`clock_was_active`](CycleSim::clock_was_active)
+    /// reports: a register's clock input, a clock source's output.
+    cell_net: Vec<u32>,
     /// Initial register values, for [`reset`](CycleSim::reset).
     init_values: Vec<bool>,
     /// Current register output per cell slot (unused for non-registers).
     reg_values: Vec<bool>,
-    /// Scratch for next-state values.
+    /// Next-state values. Only live registers are written; every other
+    /// slot always equals its `reg_values` twin, so the two can be swapped.
     next_values: Vec<bool>,
     /// Current signal values.
     signal_values: Vec<bool>,
     /// Per-signal external driver (None = undriven or non-external).
     drivers: Vec<Option<SignalDriver>>,
     root_running: Vec<bool>,
-    /// Per-cell clock activity this cycle (output activity for sources).
-    clock_active: Vec<bool>,
+    /// Per clock net (roots, then sources in netlist order): whether it
+    /// ran in the most recent cycle.
+    net_active: Vec<bool>,
     group_scratch: Vec<GroupActivity>,
     cycle: u64,
 }
@@ -76,51 +92,93 @@ impl CycleSim {
     pub fn new(netlist: &Netlist) -> Result<Self, SimError> {
         netlist.validate()?;
 
-        let mut cells = Vec::with_capacity(netlist.cell_count());
-        let mut init_values = vec![false; netlist.cell_count()];
-        let prep_clock = |clock: ClockInput| match clock {
-            ClockInput::Root(r) => PreparedClock::Root(r.index()),
-            ClockInput::Cell(c) => PreparedClock::Cell(c.index()),
+        let n_roots = netlist.clock_root_count();
+        let n_cells = netlist.cell_count();
+        let mut init_values = vec![false; n_cells];
+        let mut cell_net = vec![0u32; n_cells];
+        let mut sources = Vec::new();
+        let mut buckets: Vec<ClockBucket> = Vec::new();
+        let mut live = Vec::with_capacity(n_cells);
+        // The bucket most recently opened on each net. A net's registers
+        // usually share a group and sit together, so this finds their
+        // bucket without a search; an interleaved group just opens another
+        // bucket on the same net, which sums the same.
+        let mut net_bucket: Vec<Option<u32>> = vec![None; n_roots];
+
+        // Clock sources precede the cells they drive, so the net of a
+        // cell's clock input is always compiled already.
+        let net_of = |clock: ClockInput, cell_net: &[u32]| match clock {
+            ClockInput::Root(r) => r.index() as u32,
+            ClockInput::Cell(c) => cell_net[c.index()],
         };
         for (id, cell) in netlist.cells() {
-            let group = cell.group.index();
-            let prepared = match cell.kind {
+            let group = cell.group.index() as u32;
+            let (clock, enable) = match cell.kind {
                 CellKind::Register(config) => {
+                    let net = net_of(config.clock, &cell_net);
+                    cell_net[id.index()] = net;
                     init_values[id.index()] = config.init;
-                    PreparedCell::Register {
-                        group,
-                        clock: prep_clock(config.clock),
-                        data: config.data,
-                        sync_enable: config.sync_enable.map(|s| s.index()),
+                    let slot = &mut net_bucket[net as usize];
+                    match slot.map(|b| &mut buckets[b as usize]) {
+                        Some(bucket) if bucket.group == group => bucket.count += 1,
+                        _ => {
+                            *slot = Some(buckets.len() as u32);
+                            buckets.push(ClockBucket {
+                                net,
+                                group,
+                                count: 1,
+                            });
+                        }
                     }
+                    let can_change = match config.data {
+                        DataSource::Hold => false,
+                        DataSource::Constant(v) => v != config.init,
+                        DataSource::Toggle | DataSource::ShiftFrom(_) | DataSource::Signal(_) => {
+                            true
+                        }
+                    };
+                    if can_change {
+                        live.push(LiveRegister {
+                            cell: id.index() as u32,
+                            net,
+                            group,
+                            sync_enable: config.sync_enable.map(|s| s.index() as u32),
+                            data: config.data,
+                        });
+                    }
+                    continue;
                 }
-                CellKind::ClockGate { clock, enable } => PreparedCell::Icg {
-                    group,
-                    clock: prep_clock(clock),
-                    enable: enable.index(),
-                },
-                CellKind::ClockBuffer { clock } => PreparedCell::Buffer {
-                    group,
-                    clock: prep_clock(clock),
-                },
+                CellKind::ClockGate { clock, enable } => (clock, Some(enable.index() as u32)),
+                CellKind::ClockBuffer { clock } => (clock, None),
             };
-            cells.push(prepared);
+            // A clock source drives a net of its own.
+            let input = net_of(clock, &cell_net);
+            cell_net[id.index()] = (n_roots + sources.len()) as u32;
+            sources.push(ClockSource {
+                input,
+                enable,
+                group,
+            });
+            net_bucket.push(None);
         }
 
         let signal_exprs: Vec<SignalExpr> = netlist.signals().map(|(_, s)| s.expr).collect();
-        let n_cells = cells.len();
         let n_signals = signal_exprs.len();
+        let n_nets = n_roots + sources.len();
 
         Ok(CycleSim {
-            cells,
             signal_exprs,
+            sources,
+            buckets,
+            live,
+            cell_net,
             reg_values: init_values.clone(),
             next_values: init_values.clone(),
             init_values,
             signal_values: vec![false; n_signals],
             drivers: (0..n_signals).map(|_| None).collect(),
-            root_running: vec![true; netlist.clock_root_count()],
-            clock_active: vec![false; n_cells],
+            root_running: vec![true; n_roots],
+            net_active: vec![false; n_nets],
             group_scratch: vec![GroupActivity::default(); netlist.group_count()],
             cycle: 0,
         })
@@ -198,7 +256,7 @@ impl CycleSim {
     ///
     /// Panics when `cell` is out of range.
     pub fn clock_was_active(&self, cell: CellId) -> bool {
-        self.clock_active[cell.index()]
+        self.net_active[self.cell_net[cell.index()] as usize]
     }
 
     /// Returns registers and drivers to their initial state.
@@ -208,12 +266,8 @@ impl CycleSim {
         for d in self.drivers.iter_mut().flatten() {
             d.reset();
         }
-        for v in &mut self.signal_values {
-            *v = false;
-        }
-        for a in &mut self.clock_active {
-            *a = false;
-        }
+        self.signal_values.fill(false);
+        self.net_active.fill(false);
         self.cycle = 0;
     }
 
@@ -223,9 +277,7 @@ impl CycleSim {
     /// [`GroupId::index`](clockmark_netlist::GroupId::index) and is valid
     /// until the next call.
     pub fn step(&mut self) -> &[GroupActivity] {
-        for g in &mut self.group_scratch {
-            *g = GroupActivity::default();
-        }
+        self.group_scratch.fill(GroupActivity::default());
 
         // Phase 1: evaluate signals in declaration order (declaration order
         // is topological because forward references are rejected at build
@@ -252,68 +304,55 @@ impl CycleSim {
             self.signal_values[i] = value;
         }
 
-        // Phase 2: propagate clock activity (cells appear after their clock
-        // drivers, so one forward pass suffices) and count clocked events.
-        // Phase 3 is fused: register next states read only pre-edge values.
-        for i in 0..self.cells.len() {
-            let upstream = |clock: PreparedClock, active: &[bool], roots: &[bool]| match clock {
-                PreparedClock::Root(r) => roots[r],
-                PreparedClock::Cell(c) => active[c],
+        // Phase 2: resolve the clock nets. Roots follow their running flag;
+        // each source reads its earlier input net, so one forward pass
+        // suffices.
+        let n_roots = self.root_running.len();
+        self.net_active[..n_roots].copy_from_slice(&self.root_running);
+        for (i, source) in self.sources.iter().enumerate() {
+            let up = self.net_active[source.input as usize];
+            let group = &mut self.group_scratch[source.group as usize];
+            self.net_active[n_roots + i] = match source.enable {
+                Some(enable) => {
+                    group.icg_events += u32::from(up);
+                    up && self.signal_values[enable as usize]
+                }
+                None => {
+                    group.buffer_events += u32::from(up);
+                    up
+                }
             };
-            match self.cells[i] {
-                PreparedCell::Buffer { group, clock } => {
-                    let up = upstream(clock, &self.clock_active, &self.root_running);
-                    self.clock_active[i] = up;
-                    if up {
-                        self.group_scratch[group].buffer_events += 1;
-                    }
-                }
-                PreparedCell::Icg {
-                    group,
-                    clock,
-                    enable,
-                } => {
-                    let up = upstream(clock, &self.clock_active, &self.root_running);
-                    self.clock_active[i] = up && self.signal_values[enable];
-                    if up {
-                        self.group_scratch[group].icg_events += 1;
-                    }
-                }
-                PreparedCell::Register {
-                    group,
-                    clock,
-                    data,
-                    sync_enable,
-                } => {
-                    let clocked = upstream(clock, &self.clock_active, &self.root_running);
-                    self.clock_active[i] = clocked;
-                    let current = self.reg_values[i];
-                    let mut next = current;
-                    if clocked {
-                        self.group_scratch[group].reg_clock_events += 1;
-                        let enabled = match sync_enable {
-                            Some(s) => self.signal_values[s],
-                            None => true,
-                        };
-                        if enabled {
-                            next = match data {
-                                DataSource::Constant(v) => v,
-                                DataSource::Toggle => !current,
-                                DataSource::ShiftFrom(src) => self.reg_values[src.index()],
-                                DataSource::Signal(sig) => self.signal_values[sig.index()],
-                                DataSource::Hold => current,
-                            };
-                        }
-                        if next != current {
-                            self.group_scratch[group].reg_data_toggles += 1;
-                        }
-                    }
-                    self.next_values[i] = next;
-                }
+        }
+
+        // Phase 3: register clock events, one add per bucket.
+        for bucket in &self.buckets {
+            if self.net_active[bucket.net as usize] {
+                self.group_scratch[bucket.group as usize].reg_clock_events += bucket.count;
             }
         }
 
-        // Phase 4: commit register updates simultaneously.
+        // Phase 4: next states of the live registers, from pre-edge values
+        // only; then commit them all at once.
+        for reg in &self.live {
+            let cell = reg.cell as usize;
+            let current = self.reg_values[cell];
+            let mut next = current;
+            let enabled = reg
+                .sync_enable
+                .is_none_or(|s| self.signal_values[s as usize]);
+            if self.net_active[reg.net as usize] && enabled {
+                next = match reg.data {
+                    DataSource::Constant(v) => v,
+                    DataSource::Toggle => !current,
+                    DataSource::ShiftFrom(src) => self.reg_values[src.index()],
+                    DataSource::Signal(sig) => self.signal_values[sig.index()],
+                    DataSource::Hold => current,
+                };
+                self.group_scratch[reg.group as usize].reg_data_toggles +=
+                    u32::from(next != current);
+            }
+            self.next_values[cell] = next;
+        }
         std::mem::swap(&mut self.reg_values, &mut self.next_values);
         self.cycle += 1;
         &self.group_scratch
@@ -326,9 +365,7 @@ impl CycleSim {
             .field("groups", self.group_scratch.len());
         let mut trace = ActivityTrace::new(self.group_scratch.len());
         for _ in 0..cycles {
-            self.step();
-            let scratch = self.group_scratch.clone();
-            trace.push_cycle(&scratch);
+            trace.push_cycle(self.step());
         }
         clockmark_obs::counter_add("sim.cycles", cycles as u64);
         Ok(trace)

@@ -260,6 +260,21 @@ mod tests {
     use clockmark::CpaAlgo;
 
     #[test]
+    fn template_validates_at_lfsr_widths_8_and_12() {
+        for width in [8, 12] {
+            let options = ScenarioTemplateOptions {
+                traces: Some(vec!["t0".into()]),
+                ..ScenarioTemplateOptions::default()
+            };
+            let spec = PatternSpec::Lfsr { width, seed: 1 };
+            let text = cmd_scenario_template(Path::new("/corpus"), &spec, options)
+                .unwrap_or_else(|e| panic!("width {width}: {e}"));
+            let matrix = ScenarioMatrix::decode(&text).expect("decodes");
+            matrix.validate().expect("the written template validates");
+        }
+    }
+
+    #[test]
     fn report_renders_one_table_per_snr() {
         let report = ScenarioReport {
             algo: CpaAlgo::Folded,
