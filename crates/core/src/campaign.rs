@@ -4,10 +4,19 @@
 //! stored power traces (see [`clockmark_corpus`]), does each one carry
 //! the watermark? Jobs — one per trace — are sharded across the same
 //! std-thread engine that powers [`ExperimentBatch`](crate::ExperimentBatch),
-//! and every job streams its trace through a
-//! [`Detector::detect_streaming`] session in disk-sized chunks via
-//! [`StreamingDetection::push_chunk`], so a trace is never fully
-//! resident.
+//! and every job runs through one ingest loop that reads its trace in
+//! disk-sized chunks and owns the CRC, checkpoints, interrupts, progress
+//! and landing. The [`CampaignSpec`] picks what a chunk feeds:
+//!
+//! - **fixed budget** (the default): a [`Detector::detect_streaming`]
+//!   session via [`StreamingDetection::push_chunk`], evaluated once at
+//!   the end of the trace, which is never fully resident;
+//! - **sequential** ([`CampaignSpec::sequential`]): the same fold on an
+//!   early-termination schedule — the job stops reading once the
+//!   schedule decides (see `docs/sequential.md`);
+//! - **scenario** ([`CampaignSpec::scenario`], any non-identity cell): a
+//!   buffer of the whole trace, replayed through the attack/defense
+//!   pipeline at the end (see `docs/attacks.md`).
 //!
 //! Everything a campaign learns is persisted as it happens:
 //!
@@ -23,7 +32,9 @@
 //! Kill the process at any instant — between jobs, mid-trace, even
 //! mid-append (the torn last line of `results.jsonl` is tolerated) — and
 //! [`Campaign::run`] picks up exactly where it stopped: completed jobs
-//! are skipped, checkpointed jobs resume from their snapshot, and because
+//! are skipped, checkpointed jobs resume from their snapshot (a
+//! sequential one re-derives its schedule from the absolute cycle count;
+//! a scenario job never checkpoints and replays whole), and because
 //! [`StreamingDetection::push_chunk`] performs bit-for-bit the same
 //! accumulations as an uninterrupted fold, the final report is
 //! **byte-identical** to one produced without the interruption.
@@ -35,7 +46,7 @@ use clockmark_corpus::codec;
 use clockmark_corpus::{Corpus, CorpusError, Crc32};
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
-    SequentialOptions, StreamingCpaState, StreamingDetection,
+    SequentialDetection, SequentialOptions, StreamingCpaState, StreamingDetection,
 };
 use clockmark_obs::json::{self, Json};
 use std::collections::BTreeMap;
@@ -920,8 +931,31 @@ impl Campaign {
         Ok(status)
     }
 
-    /// Runs one job to completion (or to an injected interrupt, returning
-    /// `Ok(None)` with a checkpoint on disk).
+    /// Runs one job to completion, or to an injected interrupt, which
+    /// returns `Ok(None)` with a checkpoint on disk.
+    ///
+    /// One loop serves every flavour: it owns the read, the CRC, the
+    /// checkpoints, the interrupt, progress and landing, and the
+    /// [`JobSession`] decides what a chunk does. Each flavour keeps its
+    /// own contract:
+    ///
+    /// - **fixed** jobs fold the whole trace and evaluate once;
+    /// - **sequential** jobs stop reading as soon as the session
+    ///   decides — the remaining samples are never read, which is the
+    ///   entire point. A decided session is never checkpointed and never
+    ///   interrupted: its fold is frozen, so the only correct
+    ///   continuation is landing the outcome now (a resumed replay would
+    ///   re-derive checkpoints *after* the accepting one and run longer,
+    ///   breaking bit-identity). The full-trace CRC runs only when the
+    ///   trace was fully read, and [`JobOutcome::cycles`] records the
+    ///   cycles the verdict consumed instead of the trace length;
+    /// - **scenario** jobs buffer the whole trace, then replay the
+    ///   deterministic defense-embed → attack → SNR-noise pipeline over
+    ///   it and land the defense's verdict (see [`crate::scenario`]).
+    ///   The job is a pure function of `(spec, job index, trace bytes)`,
+    ///   so the cheapest correct resume is a whole-job replay: a scenario
+    ///   job never writes a checkpoint and ignores
+    ///   `interrupt_job_after_cycles`.
     fn run_job(
         &self,
         corpus: &Corpus,
@@ -930,34 +964,25 @@ impl Campaign {
         limits: &CampaignLimits,
         board: &ProgressBoard,
     ) -> Result<Option<JobOutcome>, CampaignError> {
-        if let Some(scenario) = &self.spec.scenario {
-            // The identity scenario falls through to the plain streaming
-            // path below — that is what makes its report byte-for-byte a
-            // plain campaign's.
-            if !scenario.is_identity() {
-                return self.run_job_scenario(corpus, job, results, board, scenario);
-            }
-        }
-        if let Some(seq) = self.spec.sequential {
-            return self.run_job_sequential(corpus, job, results, limits, board, seq);
-        }
-        let _span = clockmark_obs::span("campaign.job")
+        let mut span = clockmark_obs::span("campaign.job")
             .field("index", job.index)
             .field("trace", job.trace.clone());
+        if let Some(scenario) = self.replayed_scenario() {
+            span = span
+                .field("mode", "scenario")
+                .field("attack", scenario.attack.kind())
+                .field("defense", scenario.defense.kind());
+        } else if self.spec.sequential.is_some() {
+            span = span.field("mode", "sequential");
+        }
+        let _span = span;
         // Zero-copy where the platform provides it; the buffered reader
         // otherwise. Both stream bit-identical samples, so a campaign
         // resumed on a different platform (or with CLOCKMARK_NO_MMAP
         // set) still reproduces its report byte-for-byte.
         let mut reader = corpus.source(&job.trace)?;
         let trace_cycles = reader.header().cycles;
-        // The kernel recorded in the spec is pinned on the facade, so
-        // neither the environment nor the work heuristic can change the
-        // arithmetic between a run and its resume.
-        let facade = self.detector()?;
-        let mut session = match self.restore_checkpoint(&facade, job, trace_cycles) {
-            Some(session) => session,
-            None => facade.detect_streaming(),
-        };
+        let mut session = self.open_session(job, trace_cycles)?;
         // Replaying the consumed prefix (discarded, but still fed to the
         // CRC) keeps the end-of-trace integrity check meaningful.
         if session.cycles() > 0 {
@@ -968,151 +993,8 @@ impl Campaign {
         let mut buf = vec![0.0f64; chunk];
         let mut since_checkpoint = 0u64;
         let mut ingested = 0u64;
-        loop {
-            let got = reader.read_chunk(&mut buf)?;
-            if got == 0 {
-                break;
-            }
-            session.push_chunk(&buf[..got]);
-            since_checkpoint += got as u64;
-            ingested += got as u64;
-            board.note_cycles(got as u64);
-            if self.spec.checkpoint_cycles > 0 && since_checkpoint >= self.spec.checkpoint_cycles {
-                self.write_checkpoint(job, &session.state())?;
-                board.publish();
-                since_checkpoint = 0;
-            }
-            if let Some(limit) = limits.interrupt_job_after_cycles {
-                if ingested >= limit && reader.remaining() > 0 {
-                    self.write_checkpoint(job, &session.state())?;
-                    board.publish();
-                    return Ok(None);
-                }
-            }
-        }
-        let header = reader.finish()?; // full CRC validation
-
-        let result = session.result();
-        let outcome = JobOutcome {
-            index: job.index,
-            trace: job.trace.clone(),
-            cycles: header.cycles,
-            result,
-        };
-        self.land_outcome(job, outcome, results, board)
-    }
-
-    /// Runs one adversarial-scenario job: the whole trace is buffered,
-    /// the deterministic defense-embed → attack → SNR-noise pipeline
-    /// replays over it, and the defense's verification procedure decides
-    /// (see [`crate::scenario`]).
-    ///
-    /// Deliberately different persistence contract from the streaming
-    /// path: a scenario job **never writes a mid-trace checkpoint** and
-    /// **ignores `interrupt_job_after_cycles`**. The job is a pure
-    /// function of `(spec, job index, trace bytes)`, so the cheapest
-    /// correct resume is a whole-job replay — which is what a kill gets:
-    /// completed jobs live in `results.jsonl`, in-flight ones restart and
-    /// land bit-identical outcomes.
-    fn run_job_scenario(
-        &self,
-        corpus: &Corpus,
-        job: &JobSpec,
-        results: &Mutex<File>,
-        board: &ProgressBoard,
-        scenario: &ScenarioSpec,
-    ) -> Result<Option<JobOutcome>, CampaignError> {
-        let _span = clockmark_obs::span("campaign.job")
-            .field("index", job.index)
-            .field("trace", job.trace.clone())
-            .field("mode", "scenario")
-            .field("attack", scenario.attack.kind())
-            .field("defense", scenario.defense.kind());
-        // A stale checkpoint can only be left by a crashed run of the
-        // same spec, and scenario jobs never write one; sweep anyway so
-        // a hand-edited spec cannot resurrect a foreign snapshot.
-        let _ = fs::remove_file(self.checkpoint_path(job.index));
-
-        let mut reader = corpus.source(&job.trace)?;
-        let trace_cycles = reader.header().cycles;
-        let chunk = self.spec.chunk_cycles.max(1);
-        let mut buf = vec![0.0f64; chunk];
-        let mut samples = Vec::with_capacity(trace_cycles as usize);
-        loop {
-            let got = reader.read_chunk(&mut buf)?;
-            if got == 0 {
-                break;
-            }
-            samples.extend_from_slice(&buf[..got]);
-            board.note_cycles(got as u64);
-        }
-        let header = reader.finish()?; // full CRC validation
-
-        let result = run_scenario_detection(
-            scenario,
-            &self.spec.pattern,
-            &self.spec.criterion,
-            self.spec.algo,
-            job.index,
-            &mut samples,
-        )?;
-        let outcome = JobOutcome {
-            index: job.index,
-            trace: job.trace.clone(),
-            cycles: header.cycles,
-            result,
-        };
-        self.land_outcome(job, outcome, results, board)
-    }
-
-    /// Runs one job under the campaign's sequential early-termination
-    /// schedule. Identical ingest loop to [`run_job`](Self::run_job),
-    /// with three deliberate differences:
-    ///
-    /// - the loop breaks as soon as the session decides — the remaining
-    ///   samples are never read, which is the entire point;
-    /// - a decided session is never checkpointed and never "interrupted":
-    ///   its fold is frozen, so the only correct continuation is landing
-    ///   the outcome now (a resumed replay would re-derive checkpoints
-    ///   *after* the accepting one and run longer, breaking bit-identity);
-    /// - `reader.finish()` (the full-trace CRC) runs only when the trace
-    ///   was fully consumed — an early stop cannot have checksummed the
-    ///   unread tail, and [`JobOutcome::cycles`] records the cycles the
-    ///   verdict actually consumed instead of the trace length.
-    fn run_job_sequential(
-        &self,
-        corpus: &Corpus,
-        job: &JobSpec,
-        results: &Mutex<File>,
-        limits: &CampaignLimits,
-        board: &ProgressBoard,
-        seq: SequentialOptions,
-    ) -> Result<Option<JobOutcome>, CampaignError> {
-        let _span = clockmark_obs::span("campaign.job")
-            .field("index", job.index)
-            .field("trace", job.trace.clone())
-            .field("mode", "sequential");
-        let mut reader = corpus.source(&job.trace)?;
-        let trace_cycles = reader.header().cycles;
-        let facade = self.detector()?;
-        let mut session = match self.restore_sequential_checkpoint(&facade, job, trace_cycles, seq)
-        {
-            Some(session) => session,
-            None => facade.detect_sequential_streaming(seq),
-        };
-        if session.cycles() > 0 {
-            reader.skip_samples(session.cycles())?;
-        }
-
-        let chunk = self.spec.chunk_cycles.max(1);
-        let mut buf = vec![0.0f64; chunk];
-        let mut since_checkpoint = 0u64;
-        let mut ingested = 0u64;
         let mut fully_read = false;
-        loop {
-            if session.decided() {
-                break;
-            }
+        while !session.decided() {
             let got = reader.read_chunk(&mut buf)?;
             if got == 0 {
                 fully_read = true;
@@ -1122,19 +1004,20 @@ impl Campaign {
             since_checkpoint += got as u64;
             ingested += got as u64;
             board.note_cycles(got as u64);
-            if session.decided() {
-                break;
-            }
             if self.spec.checkpoint_cycles > 0 && since_checkpoint >= self.spec.checkpoint_cycles {
-                self.write_checkpoint(job, &session.state())?;
-                board.publish();
-                since_checkpoint = 0;
+                if let Some(state) = session.state() {
+                    self.write_checkpoint(job, &state)?;
+                    board.publish();
+                    since_checkpoint = 0;
+                }
             }
             if let Some(limit) = limits.interrupt_job_after_cycles {
                 if ingested >= limit && reader.remaining() > 0 {
-                    self.write_checkpoint(job, &session.state())?;
-                    board.publish();
-                    return Ok(None);
+                    if let Some(state) = session.state() {
+                        self.write_checkpoint(job, &state)?;
+                        board.publish();
+                        return Ok(None);
+                    }
                 }
             }
         }
@@ -1142,20 +1025,82 @@ impl Campaign {
             reader.finish()?; // full CRC validation
         }
 
-        let sequential = session.finalize();
-        if sequential.early_stopped {
-            clockmark_obs::counter_add(
-                "campaign.cycles_saved",
-                trace_cycles.saturating_sub(sequential.cycles_consumed),
-            );
-        }
-        let outcome = JobOutcome {
-            index: job.index,
-            trace: job.trace.clone(),
-            cycles: sequential.cycles_consumed,
-            result: sequential.result,
+        let (cycles, result) = match session {
+            JobSession::Fixed(session) => (trace_cycles, session.result()),
+            JobSession::Sequential(session) => {
+                let sequential = session.finalize();
+                if sequential.early_stopped {
+                    clockmark_obs::counter_add(
+                        "campaign.cycles_saved",
+                        trace_cycles.saturating_sub(sequential.cycles_consumed),
+                    );
+                }
+                (sequential.cycles_consumed, sequential.result)
+            }
+            JobSession::Scenario { mut samples } => {
+                let scenario = self
+                    .replayed_scenario()
+                    .expect("only scenario campaigns buffer their traces");
+                let result = run_scenario_detection(
+                    scenario,
+                    &self.spec.pattern,
+                    &self.spec.criterion,
+                    self.spec.algo,
+                    job.index,
+                    &mut samples,
+                )?;
+                (trace_cycles, result)
+            }
         };
-        self.land_outcome(job, outcome, results, board)
+        self.land_outcome(
+            job,
+            JobOutcome {
+                index: job.index,
+                trace: job.trace.clone(),
+                cycles,
+                result,
+            },
+            results,
+            board,
+        )
+    }
+
+    /// The scenario every job replays, or `None` when jobs stream. The
+    /// identity scenario streams too — that is what makes its report
+    /// byte-for-byte a plain campaign's.
+    fn replayed_scenario(&self) -> Option<&ScenarioSpec> {
+        self.spec.scenario.as_ref().filter(|s| !s.is_identity())
+    }
+
+    /// Opens a job's session in the campaign's flavour, resuming the
+    /// fold from the job's checkpoint when a valid one exists.
+    fn open_session(&self, job: &JobSpec, trace_cycles: u64) -> Result<JobSession, CampaignError> {
+        if self.replayed_scenario().is_some() {
+            // A stale checkpoint can only be left by a crashed run of
+            // the same spec, and scenario jobs never write one; sweep
+            // anyway so a hand-edited spec cannot resurrect a foreign
+            // snapshot.
+            let _ = fs::remove_file(self.checkpoint_path(job.index));
+            return Ok(JobSession::Scenario {
+                samples: Vec::with_capacity(trace_cycles as usize),
+            });
+        }
+        // The kernel recorded in the spec is pinned on the facade, so
+        // neither the environment nor the work heuristic can change the
+        // arithmetic between a run and its resume.
+        let facade = Detector::with_options(
+            &self.spec.pattern,
+            DetectOptions::default()
+                .with_algo(self.spec.algo)
+                .with_criterion(self.spec.criterion),
+        )?;
+        if let Some(session) = self.restore_checkpoint(&facade, job, trace_cycles) {
+            return Ok(session);
+        }
+        Ok(match self.spec.sequential {
+            Some(seq) => JobSession::Sequential(facade.detect_sequential_streaming(seq)),
+            None => JobSession::Fixed(facade.detect_streaming()),
+        })
     }
 
     /// Appends a finished job's durable result line and retires its
@@ -1186,95 +1131,46 @@ impl Campaign {
         Ok(Some(outcome))
     }
 
-    /// The [`Detector`] facade every job of this campaign detects
-    /// through: the campaign's pattern with the recorded kernel and
-    /// criterion pinned.
-    fn detector(&self) -> Result<Detector, CampaignError> {
-        Ok(Detector::with_options(
-            &self.spec.pattern,
-            DetectOptions::default()
-                .with_algo(self.spec.algo)
-                .with_criterion(self.spec.criterion),
-        )?)
-    }
-
     /// Restores a job's fold from its checkpoint, or `None` to start
-    /// fresh. Any defect — wrong trace, wrong pattern, wrong spectrum
-    /// kernel, impossible cycle count, corrupt bytes — discards the file:
-    /// restarting a job is always safe (replay is bit-identical), trusting
-    /// a bad snapshot never is.
+    /// fresh. The bytes carry only the fold snapshot — a sequential
+    /// schedule is re-derived from the spec and the absolute cycle
+    /// count — so fixed-budget and sequential jobs share one on-disk
+    /// format, and a checkpoint written in either flavour restores into
+    /// whichever one the spec now records.
+    ///
+    /// Any defect — wrong trace, wrong pattern, wrong spectrum kernel,
+    /// impossible cycle count, corrupt bytes — discards the file:
+    /// restarting a job is always safe (replay is bit-identical),
+    /// trusting a bad snapshot never is.
     fn restore_checkpoint(
         &self,
         facade: &Detector,
         job: &JobSpec,
         trace_cycles: u64,
-    ) -> Option<StreamingDetection> {
-        let state = self.restore_checkpoint_state(job, trace_cycles)?;
-        match facade.resume_streaming(state) {
-            Ok(session) => Some(session),
-            Err(_) => {
-                self.discard_checkpoint(job);
-                None
-            }
-        }
-    }
-
-    /// [`restore_checkpoint`](Self::restore_checkpoint), rehydrated into a
-    /// sequential session. The checkpoint bytes carry only the fold
-    /// snapshot — the schedule is re-derived from `seq` and the absolute
-    /// cycle count, so fixed-budget and sequential resumes share one
-    /// on-disk format (and a checkpoint written by either mode restores
-    /// into whichever mode the spec now records).
-    fn restore_sequential_checkpoint(
-        &self,
-        facade: &Detector,
-        job: &JobSpec,
-        trace_cycles: u64,
-        seq: SequentialOptions,
-    ) -> Option<clockmark_cpa::SequentialDetection> {
-        let state = self.restore_checkpoint_state(job, trace_cycles)?;
-        match facade.resume_sequential(state, seq) {
-            Ok(session) => Some(session),
-            Err(_) => {
-                self.discard_checkpoint(job);
-                None
-            }
-        }
-    }
-
-    /// Reads and validates a job's checkpointed fold snapshot. Any
-    /// defect — wrong trace, wrong pattern, wrong spectrum kernel,
-    /// impossible cycle count, corrupt bytes — discards the file.
-    fn restore_checkpoint_state(
-        &self,
-        job: &JobSpec,
-        trace_cycles: u64,
-    ) -> Option<StreamingCpaState> {
+    ) -> Option<JobSession> {
         let path = self.checkpoint_path(job.index);
         let bytes = fs::read(&path).ok()?;
-        let state = decode_checkpoint(&bytes)
+        let session = decode_checkpoint(&bytes)
             .ok()
-            .and_then(|(index, trace, algo, state)| {
-                if index != job.index
-                    || trace != job.trace
-                    || algo != self.spec.algo
-                    || state.pattern != self.spec.pattern
-                    || state.cycles > trace_cycles
-                {
-                    return None;
-                }
-                Some(state)
+            .filter(|(index, trace, algo, state)| {
+                *index == job.index
+                    && *trace == job.trace
+                    && *algo == self.spec.algo
+                    && state.cycles <= trace_cycles
+            })
+            // Both resumes reject a snapshot of another pattern.
+            .and_then(|(_, _, _, state)| match self.spec.sequential {
+                Some(seq) => facade
+                    .resume_sequential(state, seq)
+                    .ok()
+                    .map(JobSession::Sequential),
+                None => facade.resume_streaming(state).ok().map(JobSession::Fixed),
             });
-        if state.is_none() {
-            self.discard_checkpoint(job);
+        if session.is_none() {
+            let _ = fs::remove_file(&path);
+            clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
         }
-        state
-    }
-
-    /// Drops a checkpoint that failed validation or rehydration.
-    fn discard_checkpoint(&self, job: &JobSpec) {
-        let _ = fs::remove_file(self.checkpoint_path(job.index));
-        clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
+        session
     }
 
     /// Snapshots a job's fold to disk (tmp + rename, so a kill mid-write
@@ -1346,6 +1242,58 @@ impl CampaignProgress {
             eta_seconds: num("eta_seconds")?,
             elapsed_ms: num("elapsed_ms")? as u64,
         })
+    }
+}
+
+/// One in-flight job's detection state, one variant per campaign
+/// flavour (the campaign's counterpart of serve's `ExchangeKind`).
+enum JobSession {
+    /// Fixed budget: fold the whole trace, evaluate once.
+    Fixed(StreamingDetection),
+    /// Sequential early termination: the fold freezes once the
+    /// acceptance rule fires.
+    Sequential(SequentialDetection),
+    /// A non-identity scenario: the trace is buffered whole and replayed
+    /// through the attack/defense pipeline at the end.
+    Scenario {
+        /// The samples read so far.
+        samples: Vec<f64>,
+    },
+}
+
+impl JobSession {
+    fn push_chunk(&mut self, ys: &[f64]) {
+        match self {
+            JobSession::Fixed(session) => session.push_chunk(ys),
+            JobSession::Sequential(session) => session.push_chunk(ys),
+            JobSession::Scenario { samples } => samples.extend_from_slice(ys),
+        }
+    }
+
+    /// Cycles ingested so far (a restored fold starts past zero).
+    fn cycles(&self) -> u64 {
+        match self {
+            JobSession::Fixed(session) => session.cycles(),
+            JobSession::Sequential(session) => session.cycles(),
+            JobSession::Scenario { samples } => samples.len() as u64,
+        }
+    }
+
+    /// Whether the verdict is rendered and no further input is wanted.
+    fn decided(&self) -> bool {
+        matches!(self, JobSession::Sequential(session) if session.decided())
+    }
+
+    /// The fold snapshot a checkpoint persists, or `None` for a job that
+    /// is never checkpointed or interrupted: a scenario job (a kill
+    /// replays it whole) and a decided sequential one (its frozen fold
+    /// lands now).
+    fn state(&self) -> Option<StreamingCpaState> {
+        match self {
+            JobSession::Fixed(session) => Some(session.state()),
+            JobSession::Sequential(session) if !session.decided() => Some(session.state()),
+            _ => None,
+        }
     }
 }
 
@@ -1906,6 +1854,75 @@ mod tests {
         let campaign = Campaign::create(dir.0.join("campaign"), spec).expect("creates");
         let err = campaign.run(&CampaignLimits::none()).unwrap_err();
         assert!(err.to_string().contains("ghost"), "{err}");
+    }
+
+    fn checkpoint_files(campaign_dir: &Path) -> Vec<PathBuf> {
+        fs::read_dir(campaign_dir.join("checkpoints"))
+            .expect("checkpoints/ exists")
+            .map(|entry| entry.expect("lists").path())
+            .collect()
+    }
+
+    #[test]
+    fn scenario_jobs_never_checkpoint_or_interrupt() {
+        let dir = TempDir::new("scenario_no_ckpt");
+        let pattern = pattern();
+        let mut spec = build_fixture(&dir.0, &pattern, 2, 3_000).with_scenario(ScenarioSpec {
+            snr: 0.5,
+            ..ScenarioSpec::default()
+        });
+        spec.checkpoint_cycles = 1;
+        let campaign_dir = dir.0.join("campaign");
+        let campaign = Campaign::create(&campaign_dir, spec)
+            .expect("creates")
+            .with_threads(1);
+        // A stale snapshot of a pending job does not outlive the run.
+        fs::write(campaign.checkpoint_path(0), b"stale").expect("writes");
+
+        let status = campaign
+            .run(&CampaignLimits {
+                max_jobs: None,
+                interrupt_job_after_cycles: Some(1),
+            })
+            .expect("runs");
+        assert!(status.is_complete(), "one run lands every job: {status}");
+        assert_eq!(checkpoint_files(&campaign_dir), Vec::<PathBuf>::new());
+    }
+
+    #[test]
+    fn a_sequential_decision_in_the_interrupting_chunk_lands_the_job() {
+        let dir = TempDir::new("seq_decide_interrupt");
+        let pattern = pattern();
+        let mut spec = build_fixture(&dir.0, &pattern, 1, 12_000)
+            .with_sequential(SequentialOptions::every(1_024));
+        spec.traces = vec!["marked_0".to_owned()];
+
+        let reference = Campaign::create(dir.0.join("reference"), spec.clone())
+            .expect("creates")
+            .with_threads(1);
+        reference.run(&CampaignLimits::none()).expect("runs");
+        let decided_at = reference.report().expect("complete").outcomes[0].cycles;
+        assert!(
+            decided_at < 12_000 && decided_at.is_multiple_of(1_024),
+            "the job must stop early at a schedule point, stopped at {decided_at}"
+        );
+
+        // 256-cycle chunks: the chunk that crosses the deciding
+        // checkpoint is also the first to reach the interrupt limit.
+        let campaign_dir = dir.0.join("interrupted");
+        let interrupted = Campaign::create(&campaign_dir, spec)
+            .expect("creates")
+            .with_threads(1);
+        let status = interrupted
+            .run(&CampaignLimits {
+                max_jobs: None,
+                interrupt_job_after_cycles: Some(decided_at - 100),
+            })
+            .expect("runs");
+        assert!(status.is_complete(), "the decided job lands: {status}");
+        let report = interrupted.report().expect("complete");
+        assert_eq!(report.outcomes[0].cycles, decided_at);
+        assert_eq!(checkpoint_files(&campaign_dir), Vec::<PathBuf>::new());
     }
 
     #[test]

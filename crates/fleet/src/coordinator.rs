@@ -238,7 +238,8 @@ impl Scheduler {
 ///
 /// # Errors
 ///
-/// - [`FleetError::Config`] for an empty worker list.
+/// - [`FleetError::Config`] for an empty worker list, or a spec with a
+///   non-identity scenario (checked before anything is written).
 /// - [`FleetError::WorkersLost`] when every worker died (or never
 ///   connected) with shards still pending; the directory stays
 ///   resumable.
@@ -255,9 +256,11 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     let campaign = if config.dir.join("campaign.json").exists() {
         Campaign::open(&config.dir)?
     } else {
+        ensure_shardable(&spec)?;
         Campaign::create(&config.dir, spec)?
     };
     let spec = campaign.spec().clone();
+    ensure_shardable(&spec)?;
     let shards = persisted_shard_count(&config.dir, config.effective_shards())?;
     let plan = FleetPlan::new(&spec, shards);
     let total_jobs = plan.total_jobs();
@@ -356,6 +359,19 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
         workers_lost,
         report_path,
     })
+}
+
+/// Scenario jobs seed their defense, attack and noise draws from the
+/// campaign-global job index, which a shard-local campaign does not
+/// know. Only the identity scenario, a plain streaming job, shards.
+fn ensure_shardable(spec: &CampaignSpec) -> Result<(), FleetError> {
+    match &spec.scenario {
+        Some(scenario) if !scenario.is_identity() => Err(FleetError::config(
+            "a non-identity scenario campaign cannot be sharded: \
+             its jobs seed from the campaign-global job index",
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Reads the live fleet progress a coordinator (possibly in another

@@ -23,8 +23,14 @@
 //!   workers means an idle worker steals pending shards preferred
 //!   elsewhere; missed heartbeats or a dropped work connection requeue
 //!   a dead worker's shard for the survivors.
+//! - **Shards carry the spec.** A `ShardAssign` frame carries the
+//!   shard's whole [`CampaignSpec`](clockmark::CampaignSpec) — the fleet
+//!   spec narrowed to the shard's traces — so fixed-budget and
+//!   sequential campaigns shard with no fleet-specific code. A
+//!   non-identity scenario is refused: its jobs seed from the
+//!   campaign-global job index, which a shard does not know.
 //!
-//! The wire protocol is plain CMRPC1 version 3 (`ShardAssign` /
+//! The wire protocol is plain CMRPC1 version 5 (`ShardAssign` /
 //! `ShardResult` / `Heartbeat` frames, see `docs/fleet.md`): a fleet
 //! worker is just a `clockmark-serve` server with a [`ShardWorker`]
 //! installed, and keeps answering ping / status / detect / metrics like

@@ -7,12 +7,12 @@
 //! the global campaign — they run the shard directory as an ordinary
 //! mini-campaign — so the plan also carries the global index of each
 //! shard-local job, which is what rides the wire in
-//! [`ShardJob::index`](clockmark_serve::ShardJob) and lets the
-//! coordinator merge results under single-node numbering.
+//! [`ShardSpec::jobs`] and lets the coordinator merge results under
+//! single-node numbering.
 
 use crate::hash::shard_of_trace;
 use clockmark::CampaignSpec;
-use clockmark_serve::{ShardJob, ShardSpec};
+use clockmark_serve::ShardSpec;
 use std::path::{Path, PathBuf};
 
 /// One shard of a fleet campaign: a stable id plus the jobs it covers.
@@ -82,7 +82,9 @@ pub fn shard_dir(fleet_dir: &Path, shard_id: u64) -> PathBuf {
 }
 
 /// Builds the wire [`ShardSpec`] that asks a worker to run `shard` of
-/// the fleet campaign rooted at `fleet_dir`.
+/// the fleet campaign `spec` rooted at `fleet_dir`: the spec itself,
+/// with its traces narrowed to the shard's jobs, plus their global
+/// indices.
 ///
 /// `threads`, `max_jobs` and `interrupt_after_cycles` are passed through
 /// (zero means "no override" for each, mirroring the frame layout).
@@ -94,28 +96,20 @@ pub fn shard_spec(
     max_jobs: u64,
     interrupt_after_cycles: u64,
 ) -> ShardSpec {
+    let campaign = CampaignSpec {
+        traces: shard.traces(),
+        ..spec.clone()
+    };
     ShardSpec {
         shard_id: shard.shard_id,
         dir: shard_dir(fleet_dir, shard.shard_id)
             .to_string_lossy()
             .into_owned(),
-        corpus: spec.corpus.to_string_lossy().into_owned(),
-        pattern: spec.pattern.clone(),
-        criterion: spec.criterion,
-        algo: spec.algo,
-        checkpoint_cycles: spec.checkpoint_cycles,
-        chunk_cycles: spec.chunk_cycles as u64,
+        campaign: campaign.encode(),
         threads,
         max_jobs,
         interrupt_after_cycles,
-        jobs: shard
-            .jobs
-            .iter()
-            .map(|(index, trace)| ShardJob {
-                index: *index as u64,
-                trace: trace.clone(),
-            })
-            .collect(),
+        jobs: shard.jobs.iter().map(|(index, _)| *index as u64).collect(),
     }
 }
 
@@ -164,19 +158,32 @@ mod tests {
 
     #[test]
     fn shard_spec_pins_the_campaign_tuning() {
-        let spec0 = spec(&["a", "b"]);
+        let spec0 =
+            spec(&["a", "b", "c"]).with_sequential(clockmark_cpa::SequentialOptions::every(2_048));
         let plan = FleetPlan::new(&spec0, 1);
         let wire = shard_spec(Path::new("/work/fleet"), &spec0, &plan.plans[0], 2, 0, 0);
         assert_eq!(wire.shard_id, 0);
         assert_eq!(wire.dir, "/work/fleet/shards/shard_0");
-        assert_eq!(wire.corpus, "/tmp/corpus");
-        assert_eq!(wire.pattern, spec0.pattern);
-        assert_eq!(wire.algo, spec0.algo);
-        assert_eq!(wire.checkpoint_cycles, spec0.checkpoint_cycles);
-        assert_eq!(wire.chunk_cycles, spec0.chunk_cycles as u64);
+        // One shard holds every job in global order: its spec is the
+        // fleet spec, flavour and kernel included.
+        assert_eq!(
+            CampaignSpec::decode(&wire.campaign).expect("decodes"),
+            spec0
+        );
         assert_eq!(wire.threads, 2);
-        assert_eq!(wire.jobs.len(), 2);
-        assert_eq!(wire.jobs[0].index, 0);
-        assert_eq!(wire.jobs[1].trace, "b");
+        assert_eq!(wire.jobs, vec![0, 1, 2]);
+
+        // With more shards each spec lists only its own traces, aligned
+        // with the global indices.
+        let plan = FleetPlan::new(&spec0, 64);
+        for shard in &plan.plans {
+            let wire = shard_spec(Path::new("/f"), &spec0, shard, 0, 0, 0);
+            let narrowed = CampaignSpec::decode(&wire.campaign).expect("decodes");
+            assert_eq!(narrowed.traces, shard.traces());
+            assert_eq!(narrowed.sequential, spec0.sequential);
+            for (index, trace) in wire.jobs.iter().zip(&narrowed.traces) {
+                assert_eq!(&spec0.traces[*index as usize], trace);
+            }
+        }
     }
 }

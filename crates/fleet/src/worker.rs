@@ -2,12 +2,12 @@
 //! campaigns on the local node.
 //!
 //! A [`ShardWorker`] turns every `ShardAssign` frame into an ordinary
-//! [`Campaign`] over the shard directory named in the spec. Nothing
-//! about the campaign machinery is fleet-specific: checkpoints,
-//! torn-tail recovery and byte-stable outcomes all come from the
-//! existing single-node code path, which is precisely why a shard can
-//! hop between workers mid-flight — the next node just `open`s the same
-//! directory and resumes.
+//! [`Campaign`] running the [`CampaignSpec`] the frame carries, over the
+//! shard directory it names. Nothing about the campaign machinery is
+//! fleet-specific: checkpoints, torn-tail recovery and byte-stable
+//! outcomes all come from the existing single-node code path, which is
+//! precisely why a shard can hop between workers mid-flight — the next
+//! node just `open`s the same directory and resumes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,33 +60,22 @@ impl ShardWorker {
         self
     }
 
-    fn run_shard(&self, spec: &ShardSpec) -> Result<ShardOutcome, CampaignError> {
+    fn run_shard(
+        &self,
+        spec: &ShardSpec,
+        campaign_spec: CampaignSpec,
+    ) -> Result<ShardOutcome, CampaignError> {
         let dir = PathBuf::from(&spec.dir);
-        let campaign_spec = CampaignSpec {
-            corpus: PathBuf::from(&spec.corpus),
-            pattern: spec.pattern.clone(),
-            traces: spec.jobs.iter().map(|j| j.trace.clone()).collect(),
-            criterion: spec.criterion,
-            checkpoint_cycles: spec.checkpoint_cycles,
-            chunk_cycles: spec.chunk_cycles as usize,
-            algo: spec.algo,
-            // Distributed shards run fixed-budget jobs: the shard wire
-            // format predates sequential and scenario campaigns, and a
-            // shard's report must stay byte-identical across
-            // mixed-version workers.
-            sequential: None,
-            scenario: None,
-        };
         // Create the shard campaign on first contact, open (resume) it on
         // every later one — including the reassignment of a shard some
         // other worker died inside.
         let campaign = if dir.join("campaign.json").exists() {
             Campaign::open(&dir)?
         } else {
-            match Campaign::create(&dir, campaign_spec) {
+            match Campaign::create(&dir, campaign_spec.clone()) {
                 Ok(c) => c,
                 // Another assignment of the same shard raced us to the
-                // create; its spec is identical, so just open it.
+                // create; its spec is checked below like any other.
                 Err(CampaignError::Io { source, .. })
                     if source.kind() == std::io::ErrorKind::AlreadyExists =>
                 {
@@ -95,6 +84,16 @@ impl ShardWorker {
                 Err(e) => return Err(e),
             }
         };
+        // Resuming a directory under another spec would mix two
+        // campaigns' outcomes and map them to the wrong global jobs.
+        if campaign.spec() != &campaign_spec {
+            return Err(CampaignError::Spec {
+                message: format!(
+                    "shard directory {} holds a different campaign than the assignment",
+                    dir.display()
+                ),
+            });
+        }
         let threads = if spec.threads > 0 {
             spec.threads as usize
         } else {
@@ -122,10 +121,12 @@ impl ShardWorker {
         let status = run?;
 
         // Remap shard-local job indices to the campaign-global ones the
-        // coordinator merges by; sort so the payload is deterministic.
+        // coordinator merges by (in range: the results log only admits
+        // indices below `traces.len()`, which equals `jobs.len()`); sort
+        // so the payload is deterministic.
         let mut outcomes = campaign.completed_outcomes()?;
         for outcome in &mut outcomes {
-            outcome.index = spec.jobs[outcome.index].index as usize;
+            outcome.index = spec.jobs[outcome.index] as usize;
         }
         outcomes.sort_by_key(|o| o.index);
         let mut text = String::with_capacity(outcomes.len() * 160);
@@ -149,13 +150,25 @@ impl ShardWorker {
 
 impl FleetService for ShardWorker {
     fn assign(&self, spec: &ShardSpec) -> Result<ShardOutcome, (ErrorCode, String)> {
-        if spec.jobs.is_empty() {
-            return Err((
+        let malformed = |message: String| {
+            (
                 ErrorCode::Malformed,
-                format!("shard {} carries no jobs", spec.shard_id),
-            ));
+                format!("shard {}: {message}", spec.shard_id),
+            )
+        };
+        if spec.jobs.is_empty() {
+            return Err(malformed("carries no jobs".to_owned()));
         }
-        self.run_shard(spec).map_err(|e| {
+        let campaign_spec =
+            CampaignSpec::decode(&spec.campaign).map_err(|e| malformed(e.to_string()))?;
+        if campaign_spec.traces.len() != spec.jobs.len() {
+            return Err(malformed(format!(
+                "{} job indices for {} traces",
+                spec.jobs.len(),
+                campaign_spec.traces.len()
+            )));
+        }
+        self.run_shard(spec, campaign_spec).map_err(|e| {
             let code = match &e {
                 CampaignError::Corpus(_) => ErrorCode::Corpus,
                 CampaignError::Cpa(_) => ErrorCode::Cpa,
@@ -223,12 +236,7 @@ mod tests {
         let spec = ShardSpec {
             shard_id: 9,
             dir: "/nonexistent".to_owned(),
-            corpus: "/nonexistent".to_owned(),
-            pattern: vec![true, false],
-            criterion: clockmark_cpa::DetectionCriterion::default(),
-            algo: clockmark_cpa::CpaAlgo::Folded,
-            checkpoint_cycles: 0,
-            chunk_cycles: 256,
+            campaign: CampaignSpec::new("/nonexistent", vec![true, false], Vec::new()).encode(),
             threads: 0,
             max_jobs: 0,
             interrupt_after_cycles: 0,

@@ -1,21 +1,25 @@
 //! End-to-end fleet contract over loopback, all in one process:
 //!
 //! 1. the merged fleet `report.json` is byte-identical to a single-node
-//!    run of the same campaign spec;
+//!    run of the same campaign spec, fixed-budget or sequential;
 //! 2. a worker address that never answers does not sink the fleet —
 //!    its shards are reassigned to the survivors;
 //! 3. interrupted shard assignments (the straggler/test hook) are
-//!    requeued and drained to the same bytes.
+//!    requeued and drained to the same bytes;
+//! 4. specs a shard cannot reproduce are refused: a non-identity
+//!    scenario by the coordinator, a wire spec that disagrees with the
+//!    shard directory by the worker.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clockmark::{Campaign, CampaignLimits, CampaignSpec};
+use clockmark::{Campaign, CampaignLimits, CampaignSpec, ScenarioSpec};
 use clockmark_corpus::{Corpus, TraceHeader};
-use clockmark_fleet::{run_fleet, FleetConfig, ShardWorker};
-use clockmark_serve::{ServeLimits, Server, ServerHandle};
+use clockmark_cpa::SequentialOptions;
+use clockmark_fleet::{run_fleet, FleetConfig, FleetError, ShardWorker};
+use clockmark_serve::{ErrorCode, FleetService, ServeLimits, Server, ServerHandle, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,11 +106,14 @@ fn reference_report(dir: &Path, spec: CampaignSpec) -> Vec<u8> {
     fs::read(dir.join("reference").join("report.json")).expect("reads reference")
 }
 
-#[test]
-fn fleet_report_is_byte_identical_to_single_node() {
-    let dir = TempDir::new("identity");
+/// Runs the same campaign single-node and across two workers, and
+/// requires byte-identical reports. `sequential` picks the flavour:
+/// `None` for fixed-budget jobs, a schedule for early termination.
+fn assert_fleet_matches_single_node(tag: &str, sequential: Option<SequentialOptions>) {
+    let dir = TempDir::new(tag);
     let pattern = pattern();
-    let spec = build_fixture(&dir.0, &pattern, 5, 3_000);
+    let mut spec = build_fixture(&dir.0, &pattern, 5, 3_000);
+    spec.sequential = sequential;
     let reference = reference_report(&dir.0, spec.clone());
 
     let workers: Vec<ServerHandle> = (0..2).map(|_| spawn_worker()).collect();
@@ -135,9 +142,93 @@ fn fleet_report_is_byte_identical_to_single_node() {
     assert_eq!(progress.done, 6);
     assert_eq!(progress.total, 6);
 
+    if sequential.is_some() {
+        // The shards ran the schedule: every marked job stopped early.
+        let report = Campaign::open(dir.0.join("fleet"))
+            .expect("opens")
+            .report()
+            .expect("complete");
+        for outcome in &report.outcomes[..5] {
+            assert!(
+                outcome.result.detected && outcome.cycles < 3_000,
+                "marked job must stop early: {outcome:?}"
+            );
+        }
+    }
+
     for worker in workers {
         worker.shutdown();
     }
+}
+
+#[test]
+fn fleet_report_is_byte_identical_to_single_node() {
+    assert_fleet_matches_single_node("identity", None);
+}
+
+#[test]
+fn sequential_fleet_report_is_byte_identical_to_single_node() {
+    assert_fleet_matches_single_node("sequential", Some(SequentialOptions::every(1_024)));
+}
+
+#[test]
+fn a_non_identity_scenario_is_refused_before_anything_is_written() {
+    let dir = TempDir::new("scenario");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 1, 1_000).with_scenario(ScenarioSpec {
+        snr: 0.5,
+        ..ScenarioSpec::default()
+    });
+    // Refused before any worker is contacted, so none need exist.
+    let config = FleetConfig::new(dir.0.join("fleet"), vec!["127.0.0.1:9".to_owned()]);
+    let err = run_fleet(&config, spec).expect_err("scenario fleets are refused");
+    assert!(matches!(err, FleetError::Config { .. }), "{err}");
+    assert!(!dir.0.join("fleet").join("campaign.json").exists());
+}
+
+#[test]
+fn a_worker_refuses_a_shard_directory_holding_another_campaign() {
+    let dir = TempDir::new("mismatch");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 2, 1_000);
+    // The shard directory already holds a finished three-job campaign.
+    let shard_dir = dir.0.join("shard");
+    let finished = Campaign::create(&shard_dir, spec.clone())
+        .expect("creates")
+        .with_threads(1);
+    assert!(finished
+        .run(&CampaignLimits::none())
+        .expect("runs")
+        .is_complete());
+
+    let worker = ShardWorker::new().with_threads(1);
+    let narrowed = CampaignSpec {
+        traces: spec.traces[..2].to_vec(),
+        ..spec
+    };
+    let assignment = ShardSpec {
+        shard_id: 3,
+        dir: shard_dir.to_string_lossy().into_owned(),
+        campaign: narrowed.encode(),
+        threads: 1,
+        max_jobs: 0,
+        interrupt_after_cycles: 0,
+        jobs: vec![0, 1],
+    };
+    let (_, message) = worker.assign(&assignment).expect_err("spec mismatch");
+    assert!(message.contains("different campaign"), "{message}");
+
+    // The wire spec must decode and name one trace per job index.
+    let garbled = ShardSpec {
+        campaign: "{not json".to_owned(),
+        ..assignment.clone()
+    };
+    assert_eq!(worker.assign(&garbled).unwrap_err().0, ErrorCode::Malformed);
+    let short = ShardSpec {
+        jobs: vec![0],
+        ..assignment
+    };
+    assert_eq!(worker.assign(&short).unwrap_err().0, ErrorCode::Malformed);
 }
 
 #[test]

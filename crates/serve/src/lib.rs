@@ -64,11 +64,10 @@
 //! event-loop thread watches every connected session and a small
 //! worker pool ([`ServeLimits::workers`]) services only the sessions
 //! with bytes waiting, so thousands of mostly-idle sessions cost one
-//! file descriptor each and zero threads. Elsewhere — or with
-//! `CLOCKMARK_SERVE_BLOCKING=1` — the original thread-per-connection
-//! engine serves instead. The wire behaviour of both engines is
-//! identical; only the `registered`/`readable` fields of
-//! [`ServerStatus`] tell them apart.
+//! file descriptor each and zero threads. Elsewhere a
+//! thread-per-connection engine serves instead. The wire behaviour of
+//! both engines is identical; only the `registered`/`readable` fields
+//! of [`ServerStatus`] tell them apart.
 //!
 //! The `poll(2)` and `RLIMIT_NOFILE` prototypes live in one scoped
 //! `allow(unsafe_code)` FFI module (`poll::sys`), mirroring the
@@ -88,6 +87,6 @@ pub use error::ServeError;
 pub use poll::raise_nofile_limit;
 pub use protocol::{
     mint_span_id, mint_trace_id, trace_id_hex, ErrorCode, Request, Response, ServerStatus,
-    ShardJob, ShardSpec, WorkerHeartbeat, MAGIC, PROTOCOL_VERSION, TRACE_ID_LEN,
+    ShardSpec, WorkerHeartbeat, MAGIC, PROTOCOL_VERSION, TRACE_ID_LEN,
 };
 pub use server::{FleetService, ServeLimits, Server, ServerHandle, ShardOutcome};

@@ -67,8 +67,11 @@ pub const MAGIC: [u8; 6] = *b"CMRPC1";
 /// sequential early-termination exchange
 /// (`DetectSequentialStart`/`SequentialDetection`) and the batched
 /// multi-candidate exchange (`IdentifyStart`/`Identification`), both
-/// reusing `DetectChunk`/`DetectFinish` for the trace stream.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// reusing `DetectChunk`/`DetectFinish` for the trace stream. Version 5
+/// made `ShardAssign` carry the shard's whole campaign spec (as JSON)
+/// plus the fleet-wide job indices, in place of six re-encoded tuning
+/// fields, so a shard runs every campaign flavour.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Frame-type byte of the error frame (valid in either direction).
 pub const FRAME_ERROR: u8 = 0x7F;
@@ -248,21 +251,10 @@ pub enum Request {
     },
 }
 
-/// One job inside a [`ShardSpec`]: a global campaign index plus the
-/// corpus trace it detects over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardJob {
-    /// Index of the job in the *fleet-wide* campaign (what the merged
-    /// report is keyed by — not the shard-local position).
-    pub index: u64,
-    /// Corpus trace name.
-    pub trace: String,
-}
-
 /// Everything a worker needs to run one campaign shard: where the shard
-/// campaign lives on (shared) disk, which corpus and jobs it covers,
-/// and the detection tuning pinned by the fleet spec.
-#[derive(Debug, Clone, PartialEq)]
+/// campaign lives on (shared) disk, what the shard campaign is, and the
+/// fleet-wide index of each of its jobs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Stable shard identifier (the consistent-hash bucket).
     pub shard_id: u64,
@@ -270,19 +262,11 @@ pub struct ShardSpec {
     /// and `results.jsonl` persist here, so a shard reassigned after a
     /// worker death resumes from whatever the dead worker had saved.
     pub dir: String,
-    /// Filesystem path of the corpus root.
-    pub corpus: String,
-    /// Watermark pattern, one bool per cycle.
-    pub pattern: Vec<bool>,
-    /// Peak-significance thresholds.
-    pub criterion: DetectionCriterion,
-    /// Spectrum kernel, pinned fleet-wide (required: the byte-identical
-    /// merged report only holds within one kernel's arithmetic).
-    pub algo: CpaAlgo,
-    /// Checkpoint interval in cycles (0 disables).
-    pub checkpoint_cycles: u64,
-    /// Read-chunk size in cycles.
-    pub chunk_cycles: u64,
+    /// The shard's campaign spec, as `CampaignSpec::encode` JSON: the
+    /// fleet campaign with its traces narrowed to this shard's jobs, in
+    /// shard-local order. It pins the spectrum kernel the coordinator
+    /// resolved, so every worker runs the same arithmetic.
+    pub campaign: String,
     /// Worker threads for this shard (0 = worker default).
     pub threads: u32,
     /// Stop after at most this many jobs (0 = no limit) — test hook
@@ -291,8 +275,9 @@ pub struct ShardSpec {
     /// Interrupt each job after this many ingested cycles (0 = none) —
     /// test hook mirroring `CampaignLimits::interrupt_job_after_cycles`.
     pub interrupt_after_cycles: u64,
-    /// The shard's jobs, in shard-local order.
-    pub jobs: Vec<ShardJob>,
+    /// The *fleet-wide* index of each shard-local job (`jobs[i]` belongs
+    /// to the spec's `traces[i]`): what the merged report is keyed by.
+    pub jobs: Vec<u64>,
 }
 
 /// A worker's heartbeat: liveness plus live progress of the shard it is
@@ -555,19 +540,13 @@ fn put_identification(out: &mut Vec<u8>, id: &Identification) {
 fn put_shard_spec(out: &mut Vec<u8>, s: &ShardSpec) {
     put_u64(out, s.shard_id);
     put_bytes(out, s.dir.as_bytes());
-    put_bytes(out, s.corpus.as_bytes());
-    put_pattern(out, &s.pattern);
-    put_criterion(out, &s.criterion);
-    put_algo(out, Some(s.algo));
-    put_u64(out, s.checkpoint_cycles);
-    put_u64(out, s.chunk_cycles);
+    put_bytes(out, s.campaign.as_bytes());
     put_u32(out, s.threads);
     put_u64(out, s.max_jobs);
     put_u64(out, s.interrupt_after_cycles);
     put_u32(out, s.jobs.len() as u32);
-    for job in &s.jobs {
-        put_u64(out, job.index);
-        put_bytes(out, job.trace.as_bytes());
+    for &index in &s.jobs {
+        put_u64(out, index);
     }
 }
 
@@ -763,34 +742,19 @@ impl<'a> Cursor<'a> {
     fn shard_spec(&mut self) -> Result<ShardSpec, ServeError> {
         let shard_id = self.u64()?;
         let dir = self.string()?;
-        let corpus = self.string()?;
-        let pattern = self.pattern()?;
-        let criterion = self.criterion()?;
-        let algo = self
-            .algo()?
-            .ok_or_else(|| malformed("shard spec must pin a spectrum kernel"))?;
-        let checkpoint_cycles = self.u64()?;
-        let chunk_cycles = self.u64()?;
+        let campaign = self.string()?;
         let threads = self.u32()?;
         let max_jobs = self.u64()?;
         let interrupt_after_cycles = self.u64()?;
         let count = self.u32()? as usize;
         let mut jobs = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            jobs.push(ShardJob {
-                index: self.u64()?,
-                trace: self.string()?,
-            });
+            jobs.push(self.u64()?);
         }
         Ok(ShardSpec {
             shard_id,
             dir,
-            corpus,
-            pattern,
-            criterion,
-            algo,
-            checkpoint_cycles,
-            chunk_cycles,
+            campaign,
             threads,
             max_jobs,
             interrupt_after_cycles,
@@ -1269,25 +1233,11 @@ mod tests {
         round_trip_request(Request::ShardAssign(ShardSpec {
             shard_id: 5,
             dir: "/fleet/shards/shard_5".into(),
-            corpus: "/fleet/corpus".into(),
-            pattern: vec![true, false, true],
-            criterion: DetectionCriterion::lenient(),
-            algo: CpaAlgo::Folded,
-            checkpoint_cycles: 4096,
-            chunk_cycles: 512,
+            campaign: "{\"corpus\":\"/fleet/corpus\",\"traces\":[\"a\",\"b\"]}".into(),
             threads: 1,
             max_jobs: 0,
             interrupt_after_cycles: 10_000,
-            jobs: vec![
-                ShardJob {
-                    index: 2,
-                    trace: "chip_i_s0002".into(),
-                },
-                ShardJob {
-                    index: 7,
-                    trace: "chip_i_s0007_off".into(),
-                },
-            ],
+            jobs: vec![2, 7],
         }));
     }
 
@@ -1495,31 +1445,19 @@ mod tests {
         assert!(Request::decode(FRAME_TRACE_CONTEXT, &[0u8; 15]).is_err());
         // Trace echo with trailing bytes.
         assert!(Response::decode(FRAME_TRACE_ECHO, &[0u8; 25]).is_err());
-        // A shard spec may not leave the kernel to the server heuristic:
-        // algo tag 0 (`None`) must be rejected, or byte-identity across
-        // workers would depend on each node's ambient environment.
-        let (ty, mut payload) = Request::ShardAssign(ShardSpec {
+        // A shard spec's job list may not run past the payload.
+        let (ty, payload) = Request::ShardAssign(ShardSpec {
             shard_id: 0,
             dir: "d".into(),
-            corpus: "c".into(),
-            pattern: vec![true],
-            criterion: DetectionCriterion::default(),
-            algo: CpaAlgo::Fft,
-            checkpoint_cycles: 1,
-            chunk_cycles: 1,
+            campaign: "{}".into(),
             threads: 1,
             max_jobs: 0,
             interrupt_after_cycles: 0,
-            jobs: Vec::new(),
+            jobs: vec![3],
         })
         .encode();
         assert!(Request::decode(ty, &payload).is_ok());
-        // The algo byte sits right after shard_id + dir + corpus + pattern
-        // + criterion; locate it by re-encoding with the tag zeroed.
-        let algo_at = 8 + (4 + 1) + (4 + 1) + (4 + 1) + 16;
-        payload[algo_at] = 0;
-        let err = Request::decode(ty, &payload).unwrap_err();
-        assert!(err.to_string().contains("spectrum kernel"), "{err}");
+        assert!(Request::decode(ty, &payload[..payload.len() - 1]).is_err());
         // Truncated heartbeat ack.
         assert!(Response::decode(FRAME_HEARTBEAT_ACK, &[0u8; 10]).is_err());
     }

@@ -1,15 +1,14 @@
 //! The concurrent detection server.
 //!
-//! Two interchangeable engines sit behind [`Server::bind`]:
+//! One engine per platform sits behind [`Server::bind`]:
 //!
-//! - **Readiness engine** (unix, the default): one event-loop thread
+//! - **Readiness engine** (unix): one event-loop thread
 //!   `poll(2)`s every connected session plus the listener, and a small
 //!   fixed worker pool services only the sessions that actually have
 //!   bytes waiting. Thousands of mostly-idle sessions cost one
 //!   descriptor each and zero threads, so `max_sessions` can be raised
 //!   into the thousands without spawning a thread per connection.
-//! - **Blocking engine** (non-unix targets, or
-//!   `CLOCKMARK_SERVE_BLOCKING=1`): the original thread-per-connection
+//! - **Blocking engine** (non-unix targets): the thread-per-connection
 //!   pool — an accept thread plus one session thread per admitted
 //!   connection.
 //!
@@ -355,9 +354,8 @@ impl Server {
     ///
     /// Bind to port 0 to let the OS pick a free port; the chosen
     /// address is available via [`ServerHandle::local_addr`]. On unix
-    /// the poll-based readiness engine serves the socket unless
-    /// `CLOCKMARK_SERVE_BLOCKING=1` opts into the legacy
-    /// thread-per-connection engine (the only engine elsewhere).
+    /// the poll-based readiness engine serves the socket; elsewhere the
+    /// thread-per-connection engine does.
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<ServerHandle, ServeError> {
         let listener = TcpListener::bind(addr).map_err(|e| io_err("binding listener", e))?;
         listener
@@ -398,34 +396,32 @@ impl Server {
     }
 }
 
-/// Picks the serving engine for this platform and process.
+/// Runs the serving engine for this platform.
 fn engine_main(listener: TcpListener, shared: Arc<Shared>) {
     #[cfg(unix)]
-    if !blocking_engine_forced() {
-        return readiness::readiness_loop(listener, shared);
-    }
+    readiness::readiness_loop(listener, shared);
+    #[cfg(not(unix))]
     accept_loop(listener, shared);
 }
 
-#[cfg(unix)]
-fn blocking_engine_forced() -> bool {
-    std::env::var_os("CLOCKMARK_SERVE_BLOCKING").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 // ---------------------------------------------------------------------
-// Blocking engine: accept thread + one thread per admitted session.
+// Blocking engine (non-unix): accept thread + one thread per admitted
+// session.
 // ---------------------------------------------------------------------
 
 /// Decrements the active-session counter even if a session errors out
 /// early.
+#[cfg(not(unix))]
 struct SessionSlot<'a>(&'a Shared);
 
+#[cfg(not(unix))]
 impl Drop for SessionSlot<'_> {
     fn drop(&mut self) {
         self.0.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
+#[cfg(not(unix))]
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
 
@@ -596,6 +592,7 @@ fn request_name(request: &Request) -> &'static str {
     }
 }
 
+#[cfg(not(unix))]
 fn run_session(mut stream: TcpStream, shared: &Shared) {
     if stream.set_nodelay(true).is_err() {
         return;

@@ -2,9 +2,9 @@
 //! hold >= 1024 concurrently connected, mostly-idle sessions with its
 //! small worker pool, while still serving new work correctly.
 //!
-//! The blocking fallback engine (non-unix, or
-//! `CLOCKMARK_SERVE_BLOCKING=1`) is exempt — it would need a thread per
-//! session, which is exactly the scaling wall this engine removes.
+//! The non-unix thread-per-connection engine is exempt — it would need
+//! a thread per session, which is exactly the scaling wall this engine
+//! removes.
 
 #![cfg(unix)]
 
@@ -17,10 +17,6 @@ const TARGET: usize = 1024;
 
 #[test]
 fn holds_1024_idle_sessions_and_still_serves() {
-    if std::env::var_os("CLOCKMARK_SERVE_BLOCKING").is_some() {
-        eprintln!("skipping: blocking engine forced by CLOCKMARK_SERVE_BLOCKING");
-        return;
-    }
     // Both ends of every session live in this process, so the open-file
     // budget must cover 2 descriptors per session plus headroom for the
     // listener, the probe client and the test harness itself.

@@ -84,6 +84,8 @@ USAGE:
                  (--lfsr W [--seed S] | --bits 1011…)
                  [--traces a,b,…] [--lenient] [--shards N] [--threads N]
                  [--checkpoint-cycles N] [--chunk-cycles N] [--algo naive|folded|fft]
+                 [--sequential [--seq-base N] [--seq-growth F] [--seq-confidence P]
+                  [--seq-min-cycles N] [--seq-max-cycles N]]
                  [--heartbeat-ms N] [--heartbeat-misses N] [--max-jobs N]
   clockmark-cli fleet status <dir>
 
@@ -479,13 +481,6 @@ fn run() -> Result<(), ToolError> {
                     let workers = parse_worker_list(&args.require("--workers")?)?;
                     let spec = pattern_spec(&mut args, "fleet run")?;
                     let create = campaign_create_options(&mut args)?;
-                    if create.sequential.is_some() {
-                        return Err(ToolError::Usage(
-                            "fleet run does not support --sequential: distributed \
-                             shards run fixed-budget jobs"
-                                .to_owned(),
-                        ));
-                    }
                     let options = FleetRunOptions {
                         workers,
                         shards: args.numeric("--shards", 0u64)?,
