@@ -719,7 +719,7 @@ mod tests {
         for attack in AttackSpec::all_defaults() {
             for defense in DefenseSpec::all_defaults() {
                 let spec = ScenarioSpec {
-                    attack,
+                    attack: attack.clone(),
                     defense,
                     snr: 0.5,
                     amplitude_watts: 2e-3,
@@ -731,7 +731,6 @@ mod tests {
                 };
                 let back = ScenarioSpec::decode(&spec.encode()).expect("round trips");
                 assert_eq!(back, spec);
-                break;
             }
         }
     }

@@ -120,14 +120,30 @@ fn mean_of(samples: &[f64], limit: usize) -> f64 {
     head.iter().sum::<f64>() / head.len() as f64
 }
 
+/// The residues `(start + i) % period` for `i = 0, 1, 2, …`: one division
+/// up front, then a wrapping increment per step. The per-sample loops of
+/// the attacks and of the scenario defenses index their pattern or
+/// profile with it instead of dividing per sample.
+pub(crate) fn residues(start: usize, period: usize) -> impl Iterator<Item = usize> {
+    let mut r = start % period;
+    std::iter::repeat_with(move || {
+        let out = r;
+        r += 1;
+        if r == period {
+            r = 0;
+        }
+        out
+    })
+}
+
 /// Averages the first `limit` samples into a per-residue (mod `period`)
 /// profile — the adversary's estimate of one watermark period.
 fn residue_profile(samples: &[f64], period: usize, limit: usize) -> Vec<f64> {
     let mut sums = vec![0.0f64; period];
     let mut counts = vec![0u64; period];
-    for (i, &w) in samples.iter().take(limit).enumerate() {
-        sums[i % period] += w;
-        counts[i % period] += 1;
+    for (&w, r) in samples.iter().take(limit).zip(residues(0, period)) {
+        sums[r] += w;
+        counts[r] += 1;
     }
     for (s, &c) in sums.iter_mut().zip(&counts) {
         if c > 0 {
@@ -219,8 +235,8 @@ impl Attack for GateDisableAttack {
         let limit = (self.estimate_cycles as usize).min(samples.len());
         let profile = residue_profile(samples, period, limit);
         let mu = profile.iter().sum::<f64>() / period as f64;
-        for (i, out) in samples.iter_mut().enumerate() {
-            *out -= self.fraction * (profile[i % period] - mu);
+        for (out, r) in samples.iter_mut().zip(residues(0, period)) {
+            *out -= self.fraction * (profile[r] - mu);
         }
     }
 }
@@ -252,8 +268,8 @@ impl Attack for JammingAttack {
         } else {
             0
         };
-        for (i, out) in samples.iter_mut().enumerate() {
-            if ctx.pattern[(i + phase) % period] {
+        for (out, r) in samples.iter_mut().zip(residues(phase, period)) {
+            if ctx.pattern[r] {
                 *out += self.amplitude_watts;
             }
         }
@@ -289,8 +305,8 @@ impl Attack for ReplayAttack {
         let mu = mean_of(samples, limit);
         let profile = residue_profile(samples, period, limit);
         let profile_mu = profile.iter().sum::<f64>() / period as f64;
-        for (i, out) in samples.iter_mut().enumerate() {
-            let wm = profile[i % period] - profile_mu;
+        for ((i, out), r) in samples.iter_mut().enumerate().zip(residues(0, period)) {
+            let wm = profile[r] - profile_mu;
             *out = mu + wm + self.noise_watts * hash_gaussian(seed, i as u64);
         }
     }

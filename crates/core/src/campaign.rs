@@ -165,6 +165,23 @@ impl From<CpaError> for CampaignError {
     }
 }
 
+/// The largest `chunk_cycles` a spec may ask for: 16 Mi cycles, a 128 MiB
+/// read buffer per worker. Each job allocates its chunk up front, so an
+/// unbounded value from a hand-edited `campaign.json` or a fleet
+/// assignment would abort the process instead of failing the spec.
+pub(crate) const MAX_CHUNK_CYCLES: usize = 1 << 24;
+
+/// Rejects a read-chunk size above [`MAX_CHUNK_CYCLES`] (0 stays legal:
+/// jobs clamp it to 1).
+pub(crate) fn check_chunk_cycles(chunk_cycles: usize) -> Result<(), CampaignError> {
+    if chunk_cycles > MAX_CHUNK_CYCLES {
+        return Err(CampaignError::spec(format!(
+            "chunk_cycles {chunk_cycles} exceeds the maximum of {MAX_CHUNK_CYCLES}"
+        )));
+    }
+    Ok(())
+}
+
 /// What a campaign is: which corpus, which watermark, which traces, and
 /// how detection and checkpointing are tuned.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,7 +198,8 @@ pub struct CampaignSpec {
     /// periodic checkpoints; a kill then restarts in-flight jobs from the
     /// trace start, which is slower but still bit-identical).
     pub checkpoint_cycles: u64,
-    /// Cycles read from disk per chunk (clamped to at least 1).
+    /// Cycles read from disk per chunk (clamped to at least 1; a spec
+    /// asking for more than 2^24 fails validation).
     pub chunk_cycles: usize,
     /// The spectrum kernel every job runs (see [`CpaAlgo`]). Resolved
     /// once, at creation time, and persisted in `campaign.json` — a
@@ -392,7 +410,7 @@ impl CampaignSpec {
     }
 
     /// Validates the spec: a usable pattern, at least one trace, no
-    /// duplicate trace names.
+    /// duplicate trace names, a read chunk of at most 2^24 cycles.
     ///
     /// # Errors
     ///
@@ -409,6 +427,7 @@ impl CampaignSpec {
                 return Err(CampaignError::spec(format!("duplicate trace `{trace}`")));
             }
         }
+        check_chunk_cycles(self.chunk_cycles)?;
         if let Some(scenario) = &self.scenario {
             scenario
                 .validate()
@@ -1843,6 +1862,32 @@ mod tests {
             spec.validate().unwrap_err(),
             CampaignError::Cpa(CpaError::ConstantPattern)
         ));
+
+        // Jobs allocate their read chunk up front, so an oversized one
+        // must fail the spec rather than abort the process. 0 stays legal
+        // (jobs clamp it to 1).
+        spec.pattern = pattern();
+        for chunk in [0, MAX_CHUNK_CYCLES] {
+            spec.chunk_cycles = chunk;
+            spec.validate().expect("in range");
+        }
+        // 1e13 decodes exactly; 1e30 saturates to usize::MAX.
+        for hostile in ["10000000000000", "1e30"] {
+            let text = spec.encode().replace(
+                &format!("\"chunk_cycles\":{MAX_CHUNK_CYCLES}"),
+                &format!("\"chunk_cycles\":{hostile}"),
+            );
+            let decoded = CampaignSpec::decode(&text).expect("decodes");
+            assert!(decoded.chunk_cycles > MAX_CHUNK_CYCLES, "{hostile}");
+            let err = Campaign::create(dir.0.join(hostile), decoded).unwrap_err();
+            assert!(
+                matches!(&err, CampaignError::Spec { message } if message.contains("chunk_cycles")),
+                "{hostile}: {err}"
+            );
+            // A campaign.json edited after creation fails to open.
+            fs::write(campaign_dir.join("campaign.json"), &text).expect("edits");
+            assert!(Campaign::open(&campaign_dir).is_err(), "{hostile}");
+        }
     }
 
     #[test]

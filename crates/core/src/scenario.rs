@@ -44,10 +44,11 @@
 //!    jamming loses to them in the matrix).
 
 use crate::attack::{
-    hash_gaussian, mix_seed, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
+    hash_gaussian, mix_seed, residues, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
 };
 use crate::campaign::{
-    write_atomic, Campaign, CampaignError, CampaignLimits, CampaignReport, CampaignSpec,
+    check_chunk_cycles, write_atomic, Campaign, CampaignError, CampaignLimits, CampaignReport,
+    CampaignSpec,
 };
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
@@ -275,7 +276,7 @@ impl ScenarioMatrix {
 
     /// Validates the matrix: usable pattern and traces, non-empty axes,
     /// every axis entry in range, hopping dwells long enough to detect a
-    /// segment.
+    /// segment, a read chunk a cell campaign accepts.
     ///
     /// # Errors
     ///
@@ -290,6 +291,7 @@ impl ScenarioMatrix {
                 "matrix axes must all be non-empty (attacks, defenses, snrs)",
             ));
         }
+        check_chunk_cycles(self.chunk_cycles)?;
         for cell in self.cells() {
             cell.spec
                 .validate()
@@ -731,12 +733,15 @@ fn informed_check(rho: &[f64], expected: usize, min_zscore: f64) -> InformedChec
     // (scaled to σ-equivalent) rather than mean/std, so an attacker who
     // plants decoy peaks elsewhere in the spectrum cannot inflate the
     // dispersion estimate and drown a genuine peak.
-    let mut sorted = rho.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    let mut deviations: Vec<f64> = rho.iter().map(|r| (r - median).abs()).collect();
-    deviations.sort_by(f64::total_cmp);
-    let mad = deviations[deviations.len() / 2];
+    // Both are the element at `len / 2` of the total order, which a
+    // selection finds without sorting; one scratch buffer serves both.
+    let mid = rho.len() / 2;
+    let mut scratch = rho.to_vec();
+    let median = *scratch.select_nth_unstable_by(mid, f64::total_cmp).1;
+    for (d, r) in scratch.iter_mut().zip(rho) {
+        *d = (r - median).abs();
+    }
+    let mad = *scratch.select_nth_unstable_by(mid, f64::total_cmp).1;
     let spread = if mad > 0.0 {
         1.4826 * mad
     } else {
@@ -846,25 +851,26 @@ impl DefensePlan {
 
     /// Overlays the defended device's emission onto the stored trace.
     fn embed(&self, pattern: &[bool], amplitude: f64, samples: &mut [f64]) {
-        let period = pattern.len().max(1);
+        // Sample `i` of `samples` gets `amplitude` where
+        // `mark[(shift + i) % P]` is set.
+        let overlay = |mark: &[bool], shift: usize, samples: &mut [f64]| {
+            for (w, r) in samples.iter_mut().zip(residues(shift, mark.len().max(1))) {
+                if mark[r] {
+                    *w += amplitude;
+                }
+            }
+        };
         match self {
             DefensePlan::Undefended => {}
             DefensePlan::Multi { marks } => {
                 for (mark, phase) in marks {
-                    let p = mark.len().max(1);
-                    for (i, w) in samples.iter_mut().enumerate() {
-                        if mark[(i + phase) % p] {
-                            *w += amplitude;
-                        }
-                    }
+                    overlay(mark, *phase, samples);
                 }
             }
             DefensePlan::Hopping { dwell, phases } => {
-                for (i, w) in samples.iter_mut().enumerate() {
-                    let phase = phases[(i / dwell).min(phases.len() - 1)];
-                    if pattern[(i + phase) % period] {
-                        *w += amplitude;
-                    }
+                for (s, segment) in samples.chunks_mut(*dwell).enumerate() {
+                    let phase = phases[s.min(phases.len() - 1)];
+                    overlay(pattern, s * dwell + phase, segment);
                 }
             }
             DefensePlan::Challenge {
@@ -872,12 +878,9 @@ impl DefensePlan {
                 delta,
                 split,
             } => {
-                for (i, w) in samples.iter_mut().enumerate() {
-                    let shift = if i < *split { *phase } else { phase + delta };
-                    if pattern[(i + shift) % period] {
-                        *w += amplitude;
-                    }
-                }
+                let (challenge, response) = samples.split_at_mut((*split).min(samples.len()));
+                overlay(pattern, *phase, challenge);
+                overlay(pattern, split + phase + delta, response);
             }
         }
     }
@@ -1223,6 +1226,80 @@ mod tests {
         );
     }
 
+    /// Pins every sample and verdict bit the per-job pipeline produces at
+    /// paper period (P = 4095) for every attack × defense kind, so a
+    /// rewrite of any embed, attack or verify loop must reproduce the
+    /// digest exactly. The trace length is not a multiple of P, `snr` is
+    /// below 1 so the noise stage runs, and the hopping defense appears
+    /// both with the default dwell (shorter than P: the whole-trace
+    /// fallback) and with a dwell of 2P (per-segment votes and a short
+    /// tail).
+    #[test]
+    fn scenario_pipeline_digest_is_pinned_at_paper_period() {
+        fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *hash ^= u64::from(b);
+                *hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut lfsr = Lfsr::maximal(12).expect("width 12");
+        let pattern: Vec<bool> = (0..lfsr.period_hint().expect("maximal period"))
+            .map(|_| lfsr.next_bit())
+            .collect();
+        assert_eq!(pattern.len(), 4095);
+        let trace = marked(&pattern, 4 * 4095 + 1237, 1000, 0.02, 0.05, 11);
+        let mut defenses = DefenseSpec::all_defaults();
+        defenses.push(DefenseSpec::SeedHopping { dwell_cycles: 8190 });
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut detected = 0usize;
+        let mut runs = 0usize;
+        for attack in AttackSpec::all_defaults() {
+            for defense in &defenses {
+                let spec = ScenarioSpec {
+                    attack: attack.clone(),
+                    defense: defense.clone(),
+                    snr: 0.5,
+                    amplitude_watts: 0.02,
+                    noise_watts: 0.05,
+                    seed: 0x5eed_5ce4,
+                };
+                for job in [0usize, 1, 5] {
+                    let mut samples = trace.clone();
+                    let result = run_scenario_detection(
+                        &spec,
+                        &pattern,
+                        &DetectionCriterion::default(),
+                        CpaAlgo::Fft,
+                        job,
+                        &mut samples,
+                    )
+                    .expect("pipeline runs");
+                    for w in &samples {
+                        fnv1a(&mut hash, &w.to_bits().to_le_bytes());
+                    }
+                    fnv1a(&mut hash, &[u8::from(result.detected)]);
+                    fnv1a(&mut hash, &(result.peak_rotation as u64).to_le_bytes());
+                    for v in [
+                        result.peak_rho,
+                        result.floor_max_abs,
+                        result.ratio,
+                        result.zscore,
+                    ] {
+                        fnv1a(&mut hash, &v.to_bits().to_le_bytes());
+                    }
+                    detected += usize::from(result.detected);
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 6 * 5 * 3);
+        assert!(
+            detected > 0 && detected < runs,
+            "{detected}/{runs} detected"
+        );
+        assert_eq!(hash, 0x0D2C_DE19_CA56_AB3E, "scenario pipeline digest");
+    }
+
     #[test]
     fn matrix_round_trips_and_expands_deterministically() {
         let mut matrix =
@@ -1265,6 +1342,9 @@ mod tests {
         let mut matrix = ScenarioMatrix::new("/c", pattern(), vec!["t".into()]);
         matrix.defenses = vec![DefenseSpec::SeedHopping { dwell_cycles: 3 }];
         assert!(matrix.validate().is_err());
+        let mut matrix = ScenarioMatrix::new("/c", pattern(), vec!["t".into()]);
+        matrix.chunk_cycles = usize::MAX;
+        assert!(matrix.validate().is_err(), "oversized chunk");
     }
 
     #[test]

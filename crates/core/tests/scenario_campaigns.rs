@@ -222,15 +222,13 @@ fn interrupted_scenario_campaign_resumes_byte_identically() {
             interrupt_job_after_cycles: Some(100),
         },
     ];
-    let mut step = 0usize;
     for round in 0.. {
         assert!(round < 200, "campaign failed to converge");
         // Re-open each round: resumption must rebuild all state from disk.
         let campaign = ScenarioCampaign::open(dir.0.join("interrupted")).expect("opens");
         let status = campaign
-            .run(&schedule[step % schedule.len()])
+            .run(&schedule[round % schedule.len()])
             .expect("runs");
-        step += 1;
         if status.is_complete() {
             break;
         }

@@ -159,8 +159,11 @@ impl FleetService for ShardWorker {
         if spec.jobs.is_empty() {
             return Err(malformed("carries no jobs".to_owned()));
         }
-        let campaign_spec =
-            CampaignSpec::decode(&spec.campaign).map_err(|e| malformed(e.to_string()))?;
+        // A spec that decodes but fails validation (an oversized read
+        // chunk, say) is the assignment's fault too, not the worker's.
+        let campaign_spec = CampaignSpec::decode(&spec.campaign)
+            .and_then(|s| s.validate().map(|()| s))
+            .map_err(|e| malformed(e.to_string()))?;
         if campaign_spec.traces.len() != spec.jobs.len() {
             return Err(malformed(format!(
                 "{} job indices for {} traces",
@@ -245,5 +248,33 @@ mod tests {
         let (code, message) = worker.assign(&spec).expect_err("no jobs");
         assert_eq!(code, ErrorCode::Malformed);
         assert!(message.contains("shard 9"), "{message}");
+    }
+
+    #[test]
+    fn an_oversized_chunk_is_rejected_as_malformed() {
+        let worker = ShardWorker::new();
+        let dir = std::env::temp_dir().join(format!("cm-worker-chunk-{}", std::process::id()));
+        let campaign =
+            CampaignSpec::new("/nonexistent", vec![true, false, false], vec!["t".into()]);
+        // 1e13 decodes exactly; 1e30 saturates to usize::MAX.
+        for hostile in ["10000000000000", "1e30"] {
+            let text = campaign.encode().replace(
+                &format!("\"chunk_cycles\":{}", campaign.chunk_cycles),
+                &format!("\"chunk_cycles\":{hostile}"),
+            );
+            let spec = ShardSpec {
+                shard_id: 4,
+                dir: dir.to_string_lossy().into_owned(),
+                campaign: text,
+                threads: 1,
+                max_jobs: 0,
+                interrupt_after_cycles: 0,
+                jobs: vec![0],
+            };
+            let (code, message) = worker.assign(&spec).expect_err("oversized chunk");
+            assert_eq!(code, ErrorCode::Malformed, "{hostile}: {message}");
+            assert!(message.contains("chunk_cycles"), "{hostile}: {message}");
+        }
+        assert!(!dir.exists(), "nothing is written for a refused shard");
     }
 }
