@@ -133,6 +133,7 @@ fn open_half_streamed(
         pattern: pattern.to_vec(),
         algo: options.algo,
         criterion: options.criterion,
+        mode: DetectMode::Fixed,
     }
     .encode();
     protocol::write_frame(&mut raw, ty, &payload).unwrap();
@@ -162,8 +163,8 @@ fn finish_half_streamed(mut raw: TcpStream, samples: &[f64]) -> DetectionResult 
     protocol::write_frame(&mut raw, ty, &payload).unwrap();
     let (ty, payload) = protocol::read_frame(&mut raw, 1 << 20).expect("verdict during drain");
     match Response::decode(ty, &payload).expect("decodes") {
-        Response::Detection(d) => d.result,
-        other => panic!("expected a detection, got {other:?}"),
+        Response::Verdict(v) => v.result,
+        other => panic!("expected a verdict, got {other:?}"),
     }
 }
 

@@ -8,11 +8,11 @@
 //! disk-sized chunks and owns the CRC, checkpoints, interrupts, progress
 //! and landing. The [`CampaignSpec`] picks what a chunk feeds:
 //!
-//! - **fixed budget** (the default): a [`Detector::detect_streaming`]
-//!   session via [`StreamingDetection::push_chunk`], evaluated once at
-//!   the end of the trace, which is never fully resident;
-//! - **sequential** ([`CampaignSpec::sequential`]): the same fold on an
-//!   early-termination schedule — the job stops reading once the
+//! - **fixed budget** (the default): a [`DetectMode::Fixed`] [`Session`]
+//!   fed via [`Session::push_chunk`], evaluated once at the end of the
+//!   trace, which is never fully resident;
+//! - **sequential** ([`CampaignSpec::sequential`]): the same session in
+//!   [`DetectMode::Sequential`] — the job stops reading once the
 //!   schedule decides (see `docs/sequential.md`);
 //! - **scenario** ([`CampaignSpec::scenario`], any non-identity cell): a
 //!   buffer of the whole trace, replayed through the attack/defense
@@ -35,7 +35,7 @@
 //! are skipped, checkpointed jobs resume from their snapshot (a
 //! sequential one re-derives its schedule from the absolute cycle count;
 //! a scenario job never checkpoints and replays whole), and because
-//! [`StreamingDetection::push_chunk`] performs bit-for-bit the same
+//! [`Session::push_chunk`] performs bit-for-bit the same
 //! accumulations as an uninterrupted fold, the final report is
 //! **byte-identical** to one produced without the interruption.
 
@@ -45,8 +45,8 @@ use crate::scenario::run_scenario_detection;
 use clockmark_corpus::codec;
 use clockmark_corpus::{Corpus, CorpusError, Crc32};
 use clockmark_cpa::{
-    CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
-    SequentialDetection, SequentialOptions, StreamingCpaState, StreamingDetection,
+    CpaAlgo, CpaError, DetectMode, DetectOptions, DetectionCriterion, DetectionResult, Detector,
+    SequentialOptions, Session, StreamingCpaState,
 };
 use clockmark_obs::json::{self, Json};
 use std::collections::BTreeMap;
@@ -991,8 +991,8 @@ impl Campaign {
                 .field("mode", "scenario")
                 .field("attack", scenario.attack.kind())
                 .field("defense", scenario.defense.kind());
-        } else if self.spec.sequential.is_some() {
-            span = span.field("mode", "sequential");
+        } else {
+            span = span.field("mode", self.mode().name());
         }
         let _span = span;
         // Zero-copy where the platform provides it; the buffered reader
@@ -1045,16 +1045,15 @@ impl Campaign {
         }
 
         let (cycles, result) = match session {
-            JobSession::Fixed(session) => (trace_cycles, session.result()),
-            JobSession::Sequential(session) => {
-                let sequential = session.finalize();
-                if sequential.early_stopped {
+            JobSession::Fold(session) => {
+                let verdict = session.finalize();
+                if verdict.early_stopped {
                     clockmark_obs::counter_add(
                         "campaign.cycles_saved",
-                        trace_cycles.saturating_sub(sequential.cycles_consumed),
+                        trace_cycles.saturating_sub(verdict.cycles),
                     );
                 }
-                (sequential.cycles_consumed, sequential.result)
+                (verdict.cycles, verdict.result)
             }
             JobSession::Scenario { mut samples } => {
                 let scenario = self
@@ -1091,6 +1090,14 @@ impl Campaign {
         self.spec.scenario.as_ref().filter(|s| !s.is_identity())
     }
 
+    /// The session mode a streamed job runs in, as the spec records it.
+    fn mode(&self) -> DetectMode {
+        match self.spec.sequential {
+            Some(options) => DetectMode::Sequential(options),
+            None => DetectMode::Fixed,
+        }
+    }
+
     /// Opens a job's session in the campaign's flavour, resuming the
     /// fold from the job's checkpoint when a valid one exists.
     fn open_session(&self, job: &JobSpec, trace_cycles: u64) -> Result<JobSession, CampaignError> {
@@ -1113,13 +1120,11 @@ impl Campaign {
                 .with_algo(self.spec.algo)
                 .with_criterion(self.spec.criterion),
         )?;
-        if let Some(session) = self.restore_checkpoint(&facade, job, trace_cycles) {
-            return Ok(session);
-        }
-        Ok(match self.spec.sequential {
-            Some(seq) => JobSession::Sequential(facade.detect_sequential_streaming(seq)),
-            None => JobSession::Fixed(facade.detect_streaming()),
-        })
+        let session = match self.restore_checkpoint(&facade, job, trace_cycles) {
+            Some(session) => session,
+            None => facade.session(self.mode())?,
+        };
+        Ok(JobSession::Fold(Box::new(session)))
     }
 
     /// Appends a finished job's durable result line and retires its
@@ -1150,7 +1155,7 @@ impl Campaign {
         Ok(Some(outcome))
     }
 
-    /// Restores a job's fold from its checkpoint, or `None` to start
+    /// Restores a job's session from its checkpoint, or `None` to start
     /// fresh. The bytes carry only the fold snapshot — a sequential
     /// schedule is re-derived from the spec and the absolute cycle
     /// count — so fixed-budget and sequential jobs share one on-disk
@@ -1166,7 +1171,7 @@ impl Campaign {
         facade: &Detector,
         job: &JobSpec,
         trace_cycles: u64,
-    ) -> Option<JobSession> {
+    ) -> Option<Session> {
         let path = self.checkpoint_path(job.index);
         let bytes = fs::read(&path).ok()?;
         let session = decode_checkpoint(&bytes)
@@ -1177,14 +1182,8 @@ impl Campaign {
                     && *algo == self.spec.algo
                     && state.cycles <= trace_cycles
             })
-            // Both resumes reject a snapshot of another pattern.
-            .and_then(|(_, _, _, state)| match self.spec.sequential {
-                Some(seq) => facade
-                    .resume_sequential(state, seq)
-                    .ok()
-                    .map(JobSession::Sequential),
-                None => facade.resume_streaming(state).ok().map(JobSession::Fixed),
-            });
+            // The resume rejects a snapshot of another pattern.
+            .and_then(|(_, _, _, state)| facade.resume(self.mode(), state).ok());
         if session.is_none() {
             let _ = fs::remove_file(&path);
             clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
@@ -1264,16 +1263,13 @@ impl CampaignProgress {
     }
 }
 
-/// One in-flight job's detection state, one variant per campaign
-/// flavour (the campaign's counterpart of serve's `ExchangeKind`).
+/// One in-flight job: a detection [`Session`] in the campaign's mode, or
+/// the buffer of a non-identity scenario job, which is replayed through
+/// the attack/defense pipeline at the end.
 enum JobSession {
-    /// Fixed budget: fold the whole trace, evaluate once.
-    Fixed(StreamingDetection),
-    /// Sequential early termination: the fold freezes once the
-    /// acceptance rule fires.
-    Sequential(SequentialDetection),
-    /// A non-identity scenario: the trace is buffered whole and replayed
-    /// through the attack/defense pipeline at the end.
+    /// A streamed job's fold, in the spec's [`DetectMode`].
+    Fold(Box<Session>),
+    /// A scenario job's samples read so far.
     Scenario {
         /// The samples read so far.
         samples: Vec<f64>,
@@ -1283,8 +1279,7 @@ enum JobSession {
 impl JobSession {
     fn push_chunk(&mut self, ys: &[f64]) {
         match self {
-            JobSession::Fixed(session) => session.push_chunk(ys),
-            JobSession::Sequential(session) => session.push_chunk(ys),
+            JobSession::Fold(session) => session.push_chunk(ys),
             JobSession::Scenario { samples } => samples.extend_from_slice(ys),
         }
     }
@@ -1292,15 +1287,14 @@ impl JobSession {
     /// Cycles ingested so far (a restored fold starts past zero).
     fn cycles(&self) -> u64 {
         match self {
-            JobSession::Fixed(session) => session.cycles(),
-            JobSession::Sequential(session) => session.cycles(),
+            JobSession::Fold(session) => session.cycles(),
             JobSession::Scenario { samples } => samples.len() as u64,
         }
     }
 
     /// Whether the verdict is rendered and no further input is wanted.
     fn decided(&self) -> bool {
-        matches!(self, JobSession::Sequential(session) if session.decided())
+        matches!(self, JobSession::Fold(session) if session.decided())
     }
 
     /// The fold snapshot a checkpoint persists, or `None` for a job that
@@ -1309,8 +1303,7 @@ impl JobSession {
     /// lands now).
     fn state(&self) -> Option<StreamingCpaState> {
         match self {
-            JobSession::Fixed(session) => Some(session.state()),
-            JobSession::Sequential(session) if !session.decided() => Some(session.state()),
+            JobSession::Fold(session) if !session.decided() => Some(session.state()),
             _ => None,
         }
     }
@@ -1970,6 +1963,39 @@ mod tests {
         assert_eq!(checkpoint_files(&campaign_dir), Vec::<PathBuf>::new());
     }
 
+    /// A trace shorter than one watermark period lands the conservative
+    /// verdict in both streaming flavours: not detected, on the cycles
+    /// the trace holds, rather than failing the campaign.
+    #[test]
+    fn a_trace_shorter_than_one_period_lands_not_detected() {
+        let dir = TempDir::new("short_trace");
+        let mut s = 0x1234_5678_9ABC_DEF1u64;
+        let pattern: Vec<bool> = (0..96)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s & 1 == 1
+            })
+            .collect();
+        let corpus_dir = dir.0.join("corpus");
+        let mut corpus = Corpus::create(&corpus_dir).expect("creates");
+        let y = trace(&pattern, 50, 0, 1.0, 17);
+        corpus.add("short", TraceHeader::bare(0), &y).expect("adds");
+        let fixed = CampaignSpec::new(corpus_dir, pattern, vec!["short".into()]);
+        let sequential = fixed.clone().with_sequential(SequentialOptions::default());
+        for (tag, spec) in [("fixed", fixed), ("sequential", sequential)] {
+            let campaign = Campaign::create(dir.0.join(tag), spec)
+                .expect("creates")
+                .with_threads(1);
+            let status = campaign.run(&CampaignLimits::none()).expect("runs");
+            assert!(status.is_complete(), "{tag}: {status}");
+            let outcome = &campaign.report().expect("complete").outcomes[0];
+            assert!(!outcome.result.detected, "{tag}: {outcome:?}");
+            assert_eq!(outcome.cycles, 50, "{tag}");
+        }
+    }
+
     #[test]
     fn checkpoint_codec_round_trips_and_rejects_corruption() {
         let pattern = pattern();
@@ -1980,7 +2006,7 @@ mod tests {
         let (index, trace_name, algo, state) = decode_checkpoint(&bytes).expect("valid");
         assert_eq!((index, trace_name.as_str()), (7, "chip_i_s3"));
         assert_eq!(algo, CpaAlgo::Fft);
-        let restored = facade.resume_streaming(state).expect("valid");
+        let restored = facade.resume(DetectMode::Fixed, state).expect("valid");
         assert_eq!(restored.state(), session.state());
 
         for at in [0usize, 9, bytes.len() / 2, bytes.len() - 2] {

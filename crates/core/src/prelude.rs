@@ -33,7 +33,7 @@ pub use crate::{
 };
 pub use clockmark_corpus::{Corpus, CorpusError, TraceReader};
 pub use clockmark_cpa::{
-    CandidatePattern, CandidateScore, CpaAlgo, DetectOptions, DetectionCriterion, DetectionResult,
-    Detector, Identification, SequentialOptions, SequentialResult, SpreadSpectrum,
-    StreamingDetection, TraceDetection,
+    CandidatePattern, CandidateScore, CpaAlgo, DetectMode, DetectOptions, DetectionCriterion,
+    DetectionResult, Detector, Identification, SequentialOptions, SequentialResult, Session,
+    SpreadSpectrum, TraceDetection, Verdict,
 };

@@ -90,6 +90,19 @@ pub struct DetectionResult {
     pub zscore: f64,
 }
 
+impl DetectionResult {
+    /// The conservative verdict before one full period has been folded:
+    /// there is no spectrum to judge, so nothing is detected.
+    pub(crate) const UNDECIDED: DetectionResult = DetectionResult {
+        detected: false,
+        peak_rotation: 0,
+        peak_rho: 0.0,
+        floor_max_abs: 0.0,
+        ratio: 0.0,
+        zscore: 0.0,
+    };
+}
+
 impl std::fmt::Display for DetectionResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

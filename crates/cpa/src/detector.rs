@@ -16,7 +16,7 @@
 //!
 //! ```
 //! # fn main() -> Result<(), clockmark_cpa::CpaError> {
-//! use clockmark_cpa::{DetectOptions, Detector};
+//! use clockmark_cpa::{DetectMode, Detector};
 //!
 //! let pattern = [true, false, true, true, false, false, true, false];
 //! let y: Vec<f64> = (0..400)
@@ -28,12 +28,12 @@
 //! assert!(result.detected);
 //! assert_eq!(result.peak_rotation, 3);
 //!
-//! // The same decision, streamed chunk by chunk.
-//! let mut session = detector.detect_streaming();
+//! // The same decision, streamed chunk by chunk through a session.
+//! let mut session = detector.session(DetectMode::Fixed)?;
 //! for chunk in y.chunks(37) {
 //!     session.push_chunk(chunk);
 //! }
-//! assert_eq!(session.result(), result);
+//! assert_eq!(session.finalize().result, result);
 //! # Ok(())
 //! # }
 //! ```
@@ -43,8 +43,9 @@ use std::fmt;
 
 use crate::rotational::{validate_inputs, FoldedTrace};
 use crate::{
-    CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SpreadSpectrum, StreamingCpa,
-    StreamingCpaState,
+    CandidatePattern, CpaAlgo, CpaError, DetectMode, DetectionCriterion, DetectionResult,
+    Identification, SequentialOptions, SequentialResult, Session, SpreadSpectrum, StreamingCpa,
+    StreamingCpaState, Verdict,
 };
 
 /// Samples read per [`TraceInput::next_chunk`] call in
@@ -103,8 +104,8 @@ impl DetectOptions {
 /// plus the [`DetectOptions`] every query uses.
 ///
 /// Construct once, detect many times — against in-memory traces
-/// ([`detect`](Self::detect)), incrementally arriving cycles
-/// ([`detect_streaming`](Self::detect_streaming)) or chunked readers such
+/// ([`detect`](Self::detect)), incrementally arriving cycles in any
+/// [`DetectMode`] ([`session`](Self::session)) or chunked readers such
 /// as corpus `.cmt` traces ([`detect_trace`](Self::detect_trace)). All
 /// three paths share the same fold arithmetic, so their verdicts are
 /// bit-identical for the same samples and options.
@@ -187,17 +188,10 @@ impl Detector {
             return Ok(crate::rotational::naive_spectrum(&self.pattern, y));
         }
         let folded = FoldedTrace::new(&self.pattern, y);
-        let threads = match self.options.threads {
-            Some(threads) => threads,
-            None => {
-                let threads = crate::thread_count();
-                if threads > 1 && folded.work() >= crate::parallel::PARALLEL_WORK_THRESHOLD {
-                    threads
-                } else {
-                    1
-                }
-            }
-        };
+        let threads = self
+            .options
+            .threads
+            .unwrap_or_else(|| crate::parallel::auto_threads(folded.work()));
         Ok(crate::kernel::spectrum_with_algo(
             &folded.as_inputs(),
             algo,
@@ -215,34 +209,33 @@ impl Detector {
         Ok(self.spectrum(y)?.detect(&self.options.criterion))
     }
 
-    /// Opens a streaming session: feed cycles as they arrive, query the
-    /// verdict whenever you like. The session pins this detector's kernel
-    /// choice and criterion; its fold is bit-identical to the batch path
-    /// for the same samples.
-    pub fn detect_streaming(&self) -> StreamingDetection {
-        let mut inner =
-            StreamingCpa::new(&self.pattern).expect("pattern validated at Detector construction");
-        if let Some(algo) = self.options.algo {
-            inner = inner.with_algo(algo);
-        }
-        StreamingDetection {
-            inner,
-            criterion: self.options.criterion,
-        }
+    /// Opens a detection session in `mode`: feed cycles as they arrive,
+    /// ask for the [`Verdict`] whenever you like. The session pins this
+    /// detector's kernel choice, criterion and thread count; its fold is
+    /// bit-identical to the batch path for the same samples.
+    ///
+    /// # Errors
+    ///
+    /// For [`DetectMode::Identify`]: [`CpaError::InvalidState`] for an
+    /// empty candidate list, [`CpaError::PeriodMismatch`] or
+    /// [`CpaError::ConstantPattern`] for an invalid candidate.
+    pub fn session(&self, mode: DetectMode) -> Result<Session, CpaError> {
+        self.open(StreamingCpa::new(&self.pattern)?, mode)
     }
 
-    /// Re-opens a streaming session from a persisted fold snapshot — the
-    /// campaign engine's checkpoint-resume path.
+    /// Re-opens a session from a persisted fold snapshot — the campaign
+    /// engine's checkpoint-resume path. A sequential schedule needs no
+    /// extra state: it is a pure function of the options and the
+    /// absolute cycle count, so the restored session evaluates exactly
+    /// the checkpoints an uninterrupted run would have from here on.
     ///
     /// # Errors
     ///
     /// Returns [`CpaError::InvalidState`] when the snapshot's pattern
-    /// differs from this detector's, plus every validation error of
-    /// [`StreamingCpa::from_state`].
-    pub fn resume_streaming(
-        &self,
-        state: StreamingCpaState,
-    ) -> Result<StreamingDetection, CpaError> {
+    /// differs from this detector's, every validation error of
+    /// [`StreamingCpa::from_state`], and those of
+    /// [`session`](Self::session).
+    pub fn resume(&self, mode: DetectMode, state: StreamingCpaState) -> Result<Session, CpaError> {
         if state.pattern != self.pattern {
             return Err(CpaError::InvalidState {
                 message: format!(
@@ -252,63 +245,49 @@ impl Detector {
                 ),
             });
         }
-        let mut inner = StreamingCpa::from_state(state)?;
-        if let Some(algo) = self.options.algo {
-            inner = inner.with_algo(algo);
-        }
-        Ok(StreamingDetection {
-            inner,
-            criterion: self.options.criterion,
-        })
+        self.open(StreamingCpa::from_state(state)?, mode)
     }
 
-    /// Opens a sequential early-termination session: a streaming fold
-    /// driven by `options`' checkpoint schedule that stops consuming as
-    /// soon as the acceptance rule fires (see
-    /// [`SequentialOptions`](crate::SequentialOptions) for the rule and
-    /// `docs/sequential.md` for the determinism contract). The session
-    /// pins this detector's kernel choice and criterion.
-    pub fn detect_sequential_streaming(
-        &self,
-        options: crate::SequentialOptions,
-    ) -> crate::SequentialDetection {
-        let mut inner =
-            StreamingCpa::new(&self.pattern).expect("pattern validated at Detector construction");
-        if let Some(algo) = self.options.algo {
-            inner = inner.with_algo(algo);
+    fn open(&self, mut fold: StreamingCpa, mode: DetectMode) -> Result<Session, CpaError> {
+        if let DetectMode::Identify(candidates) = &mode {
+            crate::identify::validate_candidates(self.period(), candidates)?;
         }
-        crate::SequentialDetection::from_parts(inner, self.options.criterion, options)
-    }
-
-    /// Re-opens a sequential session from a persisted fold snapshot.
-    /// The checkpoint schedule needs no extra state: it is a pure
-    /// function of `options` and the absolute cycle count, so the
-    /// restored session evaluates exactly the checkpoints an
-    /// uninterrupted run would have from here on — the campaign
-    /// engine's byte-identical-resume contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`resume_streaming`](Self::resume_streaming).
-    pub fn resume_sequential(
-        &self,
-        state: StreamingCpaState,
-        options: crate::SequentialOptions,
-    ) -> Result<crate::SequentialDetection, CpaError> {
-        let session = self.resume_streaming(state)?;
-        Ok(crate::SequentialDetection::from_parts(
-            session.inner,
+        if let Some(algo) = self.options.algo {
+            fold = fold.with_algo(algo);
+        }
+        Ok(Session::new(
+            fold,
             self.options.criterion,
-            options,
+            self.options.threads,
+            mode,
         ))
     }
 
-    /// Runs a sequential detection over an in-memory trace, consuming
-    /// samples in 8192-cycle chunks until the session decides or the
-    /// trace ends. When no early stop fires this is bit-identical
-    /// to [`detect`](Self::detect) on the full trace (pinned by
-    /// proptest); when one does, the verdict is bit-identical to
-    /// `detect` on exactly the consumed prefix.
+    /// Runs one session in `mode` over an in-memory trace.
+    fn verdict(&self, y: &[f64], mode: DetectMode) -> Result<Verdict, CpaError> {
+        validate_inputs(&self.pattern, y)?;
+        let mut session = self.session(mode)?;
+        session.push_chunk(y);
+        Ok(session.finalize())
+    }
+
+    /// A [`DetectMode::Fixed`] [`session`](Self::session).
+    pub fn detect_streaming(&self) -> Session {
+        self.session(DetectMode::Fixed)
+            .expect("a validated pattern opens a fixed session")
+    }
+
+    /// A [`DetectMode::Sequential`] [`session`](Self::session).
+    pub fn detect_sequential_streaming(&self, options: SequentialOptions) -> Session {
+        self.session(DetectMode::Sequential(options))
+            .expect("a validated pattern opens a sequential session")
+    }
+
+    /// Runs a sequential detection over an in-memory trace: the session
+    /// stops folding once it decides. When no early stop fires this is
+    /// bit-identical to [`detect`](Self::detect) on the full trace
+    /// (pinned by proptest); when one does, the verdict is bit-identical
+    /// to `detect` on exactly the consumed prefix.
     ///
     /// # Errors
     ///
@@ -317,17 +296,10 @@ impl Detector {
     pub fn detect_sequential(
         &self,
         y: &[f64],
-        options: crate::SequentialOptions,
-    ) -> Result<crate::SequentialResult, CpaError> {
-        validate_inputs(&self.pattern, y)?;
-        let mut session = self.detect_sequential_streaming(options);
-        for chunk in y.chunks(TRACE_CHUNK) {
-            session.push_chunk(chunk);
-            if session.decided() {
-                break;
-            }
-        }
-        Ok(session.finalize())
+        options: SequentialOptions,
+    ) -> Result<SequentialResult, CpaError> {
+        self.verdict(y, DetectMode::Sequential(options))
+            .map(SequentialResult::from)
     }
 
     /// Scores many candidate patterns against one trace at once and
@@ -335,55 +307,24 @@ impl Detector {
     /// identification workload. The trace is folded once (the fold
     /// depends only on the period) and the fold's transform is shared
     /// across candidates; every per-candidate
-    /// [`DetectionResult`](crate::DetectionResult) is bit-identical to
-    /// an independent [`detect`](Self::detect) with the same kernel.
-    /// Candidates must match this detector's period.
+    /// [`DetectionResult`] is bit-identical to an independent
+    /// [`detect`](Self::detect) with the same kernel. Candidates must
+    /// match this detector's period.
     ///
     /// Threads follow [`DetectOptions::with_threads`] (candidates are
     /// partitioned; the bytes do not depend on the thread count).
     ///
     /// # Errors
     ///
-    /// Trace validation as in [`spectrum`](Self::spectrum), plus
-    /// [`CpaError::PeriodMismatch`] / [`CpaError::ConstantPattern`] /
-    /// [`CpaError::InvalidState`] (empty list) for invalid candidates.
+    /// Trace validation as in [`spectrum`](Self::spectrum), plus the
+    /// candidate validation of [`session`](Self::session).
     pub fn identify(
         &self,
         y: &[f64],
-        candidates: &[crate::CandidatePattern],
-    ) -> Result<crate::Identification, CpaError> {
-        validate_inputs(&self.pattern, y)?;
-        let folded = FoldedTrace::new(&self.pattern, y);
-        let inputs = folded.as_inputs();
-        let threads = match self.options.threads {
-            Some(threads) => threads,
-            None => {
-                let threads = crate::thread_count();
-                if threads > 1 && inputs.work() >= crate::parallel::PARALLEL_WORK_THRESHOLD {
-                    threads
-                } else {
-                    1
-                }
-            }
-        };
-        let algo = match self.resolved_algo() {
-            // A fold retains no raw trace; Naive follows the streaming
-            // precedent and evaluates with the folded arithmetic.
-            CpaAlgo::Naive => CpaAlgo::Folded,
-            algo => algo,
-        };
-        crate::identify::identify_over_fold(
-            inputs.nf,
-            inputs.sy,
-            inputs.syy,
-            inputs.c,
-            inputs.m,
-            y.len() as u64,
-            candidates,
-            &self.options.criterion,
-            algo,
-            threads,
-        )
+        candidates: &[CandidatePattern],
+    ) -> Result<Identification, CpaError> {
+        self.verdict(y, DetectMode::Identify(candidates.to_vec()))
+            .map(Identification::from)
     }
 
     /// Detects the watermark in a chunked trace source — a corpus `.cmt`
@@ -414,94 +355,13 @@ impl Detector {
             session.push_chunk(&buf[..n]);
         }
         input.finish().map_err(TraceInputError::Input)?;
-        let spectrum = session.spectrum().map_err(TraceInputError::Cpa)?;
-        Ok(TraceDetection {
-            result: spectrum.detect(&self.options.criterion),
-            cycles: session.cycles(),
-        })
-    }
-}
-
-/// A streaming detection session opened by
-/// [`Detector::detect_streaming`]: a [`StreamingCpa`] fold pinned to the
-/// detector's kernel choice, paired with its decision criterion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingDetection {
-    inner: StreamingCpa,
-    criterion: DetectionCriterion,
-}
-
-impl StreamingDetection {
-    /// Feeds one measured cycle.
-    pub fn push(&mut self, y: f64) {
-        self.inner.push(y);
-    }
-
-    /// Bulk-ingests a chunk of cycles, bit-identical to per-cycle
-    /// [`push`](Self::push).
-    pub fn push_chunk(&mut self, ys: &[f64]) {
-        self.inner.push_chunk(ys);
-    }
-
-    /// Cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
-        self.inner.cycles()
-    }
-
-    /// The watermark period.
-    pub fn period(&self) -> usize {
-        self.inner.period()
-    }
-
-    /// The current spread spectrum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpaError::InsufficientCycles`] until one full period has
-    /// been consumed.
-    pub fn spectrum(&self) -> Result<SpreadSpectrum, CpaError> {
-        self.inner.spectrum()
-    }
-
-    /// The current verdict under the session's criterion. Before one full
-    /// period has been consumed this conservatively reports
-    /// "not detected".
-    pub fn result(&self) -> DetectionResult {
-        self.inner.detect(&self.criterion)
-    }
-
-    /// Scores many candidate patterns against this session's fold and
-    /// ranks them — see [`Detector::identify`]. Candidates must match
-    /// the session period; the session's pinned kernel and criterion
-    /// apply, and candidates are partitioned across the configured
-    /// thread count (the bytes do not depend on it).
-    ///
-    /// # Errors
-    ///
-    /// [`CpaError::InsufficientCycles`] before one full period, plus the
-    /// candidate-validation errors of [`Detector::identify`].
-    pub fn identify(
-        &self,
-        candidates: &[crate::CandidatePattern],
-    ) -> Result<crate::Identification, CpaError> {
-        let threads = crate::thread_count().max(1);
-        self.inner.identify(candidates, &self.criterion, threads)
-    }
-
-    /// Snapshots the fold accumulators bit-exactly, for persistence;
-    /// restore with [`Detector::resume_streaming`].
-    pub fn state(&self) -> StreamingCpaState {
-        self.inner.state()
-    }
-
-    /// Borrows the underlying fold.
-    pub fn inner(&self) -> &StreamingCpa {
-        &self.inner
-    }
-
-    /// Unwraps the underlying fold.
-    pub fn into_inner(self) -> StreamingCpa {
-        self.inner
+        if session.cycles() < self.period() as u64 {
+            return Err(TraceInputError::Cpa(CpaError::InsufficientCycles {
+                have: session.cycles(),
+                need: self.period(),
+            }));
+        }
+        Ok(session.finalize().into())
     }
 }
 
@@ -666,7 +526,7 @@ mod tests {
         for chunk in y.chunks(97) {
             session.push_chunk(chunk);
         }
-        let streamed = session.result();
+        let streamed = session.finalize().result;
 
         let traced = detector.detect_trace(SliceInput::new(&y)).expect("valid");
 
@@ -693,12 +553,12 @@ mod tests {
         let mut first = detector.detect_streaming();
         first.push_chunk(head);
         let mut resumed = detector
-            .resume_streaming(first.state())
+            .resume(DetectMode::Fixed, first.state())
             .expect("valid snapshot");
         resumed.push_chunk(tail);
 
-        assert_eq!(uninterrupted, resumed);
-        assert_eq!(uninterrupted.result(), resumed.result());
+        assert_eq!(uninterrupted.state(), resumed.state());
+        assert_eq!(uninterrupted.finalize(), resumed.finalize());
     }
 
     #[test]
@@ -711,7 +571,9 @@ mod tests {
         let (other, _) = random_case(14, 63, 63);
         let foreign = Detector::new(&other).expect("valid");
         assert!(matches!(
-            foreign.resume_streaming(session.state()).unwrap_err(),
+            foreign
+                .resume(DetectMode::Fixed, session.state())
+                .unwrap_err(),
             CpaError::InvalidState { .. }
         ));
     }

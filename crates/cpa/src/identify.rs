@@ -82,25 +82,19 @@ impl Identification {
     }
 }
 
-/// Scores every candidate against one shared fold and ranks them.
+/// Checks an identification query's candidates against the fold
+/// period: the list must be non-empty, and every candidate must share
+/// the period and vary.
 ///
-/// `threads` partitions the *candidates*; each candidate's spectrum is
-/// computed serially with arithmetic independent of the partition, so
-/// any thread count yields the same bytes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn identify_over_fold(
-    nf: f64,
-    sy: f64,
-    syy: f64,
-    c: &[f64],
-    m: &[u64],
-    cycles: u64,
+/// # Errors
+///
+/// [`CpaError::InvalidState`] for an empty list,
+/// [`CpaError::PeriodMismatch`] or [`CpaError::ConstantPattern`] for the
+/// first offending candidate.
+pub(crate) fn validate_candidates(
+    period: usize,
     candidates: &[CandidatePattern],
-    criterion: &DetectionCriterion,
-    algo: CpaAlgo,
-    threads: usize,
-) -> Result<Identification, CpaError> {
-    let period = c.len();
+) -> Result<(), CpaError> {
     if candidates.is_empty() {
         return Err(CpaError::InvalidState {
             message: "identify needs at least one candidate pattern".to_owned(),
@@ -117,15 +111,25 @@ pub(crate) fn identify_over_fold(
             return Err(CpaError::ConstantPattern);
         }
     }
-    if cycles < period as u64 {
-        return Err(CpaError::InsufficientCycles {
-            have: cycles,
-            need: period,
-        });
-    }
+    Ok(())
+}
 
+/// Scores every candidate against one shared fold and ranks them, best
+/// first. The caller has validated the candidates and folded at least
+/// one period; `fold.ones` is ignored (each candidate brings its own).
+///
+/// `threads` partitions the *candidates*; each candidate's spectrum is
+/// computed serially with arithmetic independent of the partition, so
+/// any thread count yields the same bytes.
+pub(crate) fn rank_candidates(
+    fold: &SpectrumInputs<'_>,
+    candidates: &[CandidatePattern],
+    criterion: &DetectionCriterion,
+    algo: CpaAlgo,
+    threads: usize,
+) -> Vec<CandidateScore> {
     let span = clockmark_obs::span("cpa.identify")
-        .field("period", period)
+        .field("period", fold.period())
         .field("candidates", candidates.len())
         .field("algo", algo.as_str())
         .field("threads", threads);
@@ -133,16 +137,14 @@ pub(crate) fn identify_over_fold(
 
     let threads = threads.clamp(1, candidates.len());
     let results: Vec<DetectionResult> = if threads == 1 {
-        score_chunk(nf, sy, syy, c, m, candidates, criterion, algo)
+        score_chunk(fold, candidates, criterion, algo)
     } else {
         let chunk = candidates.len().div_ceil(threads);
         let mut results = Vec::with_capacity(candidates.len());
         std::thread::scope(|scope| {
             let handles: Vec<_> = candidates
                 .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || score_chunk(nf, sy, syy, c, m, part, criterion, algo))
-                })
+                .map(|part| scope.spawn(move || score_chunk(fold, part, criterion, algo)))
                 .collect();
             // Joining in spawn order keeps the concatenation — and thus
             // the tie-break order — deterministic.
@@ -161,7 +163,7 @@ pub(crate) fn identify_over_fold(
             .total_cmp(&results[a].peak_rho.abs())
             .then(a.cmp(&b))
     });
-    let scores: Vec<CandidateScore> = order
+    let scores = order
         .into_iter()
         .map(|i| CandidateScore {
             index: i,
@@ -172,31 +174,26 @@ pub(crate) fn identify_over_fold(
     if let Some(t0) = timed {
         clockmark_obs::observe("cpa.identify_seconds", t0.elapsed().as_secs_f64());
     }
-    Ok(Identification { cycles, scores })
+    scores
 }
 
 /// Scores a contiguous slice of candidates on one thread, in input
 /// order. The FFT path builds one [`MultiCorrelator`] per thread and
 /// caches `Z = DFT(c + i·m)` across its candidates.
-#[allow(clippy::too_many_arguments)]
 fn score_chunk(
-    nf: f64,
-    sy: f64,
-    syy: f64,
-    c: &[f64],
-    m: &[u64],
+    fold: &SpectrumInputs<'_>,
     candidates: &[CandidatePattern],
     criterion: &DetectionCriterion,
     algo: CpaAlgo,
 ) -> Vec<DetectionResult> {
-    let period = c.len();
+    let period = fold.period();
     let mut ones: Vec<usize> = Vec::with_capacity(period);
     if algo == CpaAlgo::Fft {
         let mut multi = MultiCorrelator::new(period)
             .expect("validated patterns have period >= 2, so the plan is non-empty");
-        let m_f64: Vec<f64> = m.iter().map(|&v| v as f64).collect();
+        let m_f64: Vec<f64> = fold.m.iter().map(|&v| v as f64).collect();
         multi
-            .set_signals(c, &m_f64)
+            .set_signals(fold.c, &m_f64)
             .expect("fold buffers share the correlator length by construction");
         let mut indicator = vec![0.0f64; period];
         let mut sxy = vec![0.0f64; period];
@@ -214,12 +211,8 @@ fn score_chunk(
                     .correlate_one(&indicator, &mut sxy, &mut sx)
                     .expect("buffers sized to the correlator length");
                 let inputs = SpectrumInputs {
-                    nf,
-                    sy,
-                    syy,
-                    c,
-                    m,
                     ones: &ones,
+                    ..*fold
                 };
                 let mut rho = rho_from_correlations(&inputs, &sxy, &sx);
                 refine_exactly(&inputs, &mut rho, 1);
@@ -233,12 +226,8 @@ fn score_chunk(
                 ones.clear();
                 ones.extend((0..period).filter(|&j| candidate.pattern[j]));
                 let inputs = SpectrumInputs {
-                    nf,
-                    sy,
-                    syy,
-                    c,
-                    m,
                     ones: &ones,
+                    ..*fold
                 };
                 spectrum_folded(&inputs, 1).detect(criterion)
             })
@@ -249,7 +238,7 @@ fn score_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CpaAlgo, CpaError, DetectOptions, Detector, StreamingCpa};
+    use crate::{CpaAlgo, CpaError, DetectMode, DetectOptions, Detector};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -349,14 +338,21 @@ mod tests {
     fn thread_count_does_not_change_a_single_bit() {
         let candidates = candidate_bank(9);
         let y = noisy_trace(&candidates[4].pattern, 15_000, 0, 17);
-        let mut session = StreamingCpa::new(&candidates[0].pattern).expect("valid");
-        session.push_chunk(&y);
-        let criterion = crate::DetectionCriterion::default();
-        let serial = session.identify(&candidates, &criterion, 1).expect("valid");
-        for threads in [2usize, 3, 8, 64] {
-            let parallel = session
-                .identify(&candidates, &criterion, threads)
+        let ranked = |threads: usize| {
+            let detector = Detector::with_options(
+                &candidates[0].pattern,
+                DetectOptions::default().with_threads(threads),
+            )
+            .expect("valid");
+            let mut session = detector
+                .session(DetectMode::Identify(candidates.clone()))
                 .expect("valid");
+            session.push_chunk(&y);
+            session.finalize()
+        };
+        let serial = ranked(1);
+        for threads in [2usize, 3, 8, 64] {
+            let parallel = ranked(threads);
             assert_eq!(parallel.scores.len(), serial.scores.len());
             for (p, s) in parallel.scores.iter().zip(&serial.scores) {
                 assert_eq!(p.index, s.index, "threads {threads}");
@@ -406,12 +402,15 @@ mod tests {
         let detector = Detector::new(&candidates[0].pattern).expect("valid");
         let batch = detector.identify(&y, &candidates).expect("valid");
 
-        let mut session = detector.detect_streaming();
+        let mut session = detector
+            .session(DetectMode::Identify(candidates.clone()))
+            .expect("valid");
         for chunk in y.chunks(777) {
             session.push_chunk(chunk);
         }
-        let streamed = session.identify(&candidates).expect("valid");
+        let streamed = session.finalize();
         assert_eq!(streamed.cycles, batch.cycles);
+        assert_eq!(streamed.result, batch.best().result);
         for (a, b) in streamed.scores.iter().zip(&batch.scores) {
             assert_eq!(a.index, b.index);
             assert_eq!(a.result.peak_rho.to_bits(), b.result.peak_rho.to_bits());

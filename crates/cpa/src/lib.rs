@@ -25,10 +25,12 @@
 //!
 //! The [`Detector`] facade is the single entry point: a validated pattern
 //! plus [`DetectOptions`] (kernel, threading, decision criterion), with
-//! batch ([`Detector::detect`]), streaming
-//! ([`Detector::detect_streaming`]) and chunked-reader
-//! ([`Detector::detect_trace`]) query paths that share one fold and are
-//! bit-identical for the same samples. The kernel resolves automatically
+//! batch ([`Detector::detect`]), streaming ([`Detector::session`]) and
+//! chunked-reader ([`Detector::detect_trace`]) query paths that share one
+//! fold and are bit-identical for the same samples. A streaming
+//! [`Session`] runs in one [`DetectMode`] — fixed budget, sequential
+//! early stop, or ranking candidate patterns — and ends in one
+//! [`Verdict`]. The kernel resolves automatically
 //! (override with the `CLOCKMARK_CPA_ALGO` environment variable or pin it
 //! via [`DetectOptions::with_algo`]).
 //!
@@ -66,6 +68,7 @@ mod parallel;
 mod pearson;
 mod rotational;
 mod sequential;
+mod session;
 mod significance;
 mod stats;
 mod streaming;
@@ -73,17 +76,15 @@ mod streaming;
 pub use algo::{algo_override, CpaAlgo};
 pub use detect::{DetectionCriterion, DetectionResult};
 pub use detector::{
-    DetectOptions, Detector, SliceInput, StreamingDetection, TraceDetection, TraceInput,
-    TraceInputError,
+    DetectOptions, Detector, SliceInput, TraceDetection, TraceInput, TraceInputError,
 };
 pub use error::CpaError;
 pub use identify::{CandidatePattern, CandidateScore, Identification};
 pub use parallel::thread_count;
 pub use pearson::pearson;
 pub use rotational::SpreadSpectrum;
-pub use sequential::{
-    SequentialCheckpoint, SequentialDetection, SequentialOptions, SequentialResult,
-};
+pub use sequential::{SequentialCheckpoint, SequentialOptions, SequentialResult};
+pub use session::{DetectMode, Session, Verdict};
 pub use significance::{normal_cdf, peak_false_positive_probability};
 pub use stats::{BoxPlotStats, RotationEnsemble};
 pub use streaming::{StreamingCpa, StreamingCpaState};

@@ -34,6 +34,18 @@ pub fn thread_count() -> usize {
     thread_count_from(std::env::var("CLOCKMARK_THREADS").ok().as_deref())
 }
 
+/// Threads for `work` multiply-adds when the caller pinned none: the
+/// machine's parallelism once the work passes
+/// [`PARALLEL_WORK_THRESHOLD`], serial below it.
+pub(crate) fn auto_threads(work: usize) -> usize {
+    let threads = thread_count();
+    if threads > 1 && work >= PARALLEL_WORK_THRESHOLD {
+        threads
+    } else {
+        1
+    }
+}
+
 /// [`thread_count`] with the environment lookup factored out for testing.
 fn thread_count_from(var: Option<&str>) -> usize {
     if let Some(requested) = var.and_then(|v| v.trim().parse::<usize>().ok()) {

@@ -91,8 +91,7 @@ impl Default for SequentialOptions {
 }
 
 impl SequentialOptions {
-    /// An arithmetic schedule checking every `interval` cycles — the
-    /// shape the legacy `run_until_detected(check_interval)` loop used.
+    /// An arithmetic schedule checking every `interval` cycles.
     pub fn every(interval: u64) -> Self {
         SequentialOptions {
             base_cycles: interval.max(1),
@@ -184,9 +183,10 @@ pub struct SequentialCheckpoint {
     pub p_value: f64,
 }
 
-/// Outcome of a sequential detection: the classic verdict extended with
-/// how many cycles it actually consumed and the checkpoint trail that
-/// led there.
+/// Outcome of [`Detector::detect_sequential`](crate::Detector::detect_sequential):
+/// a sequential session's [`Verdict`](crate::Verdict) in its historical
+/// layout — the classic verdict extended with how many cycles it
+/// actually consumed and the checkpoint trail that led there.
 ///
 /// `result` keeps the exact [`DetectionResult`] layout so wire encoding
 /// and campaign reports stay byte-stable: an early-stopped verdict is
@@ -207,35 +207,32 @@ pub struct SequentialResult {
     pub checkpoints: Vec<SequentialCheckpoint>,
 }
 
-/// The schedule/decision state of a sequential session, factored out so
-/// both the owning [`SequentialDetection`] session and the legacy
-/// iterator-driven `run_until_detected` loop share one engine.
+/// The schedule and decision state of a
+/// [`DetectMode::Sequential`](crate::DetectMode::Sequential) session:
+/// which checkpoint comes next, the trail so far, and the verdict once
+/// one is rendered. The [`Session`](crate::Session) owns the fold and
+/// the criterion and lends them to every call.
 #[derive(Debug, Clone)]
 pub(crate) struct SequentialEngine {
-    criterion: DetectionCriterion,
     options: SequentialOptions,
     /// Effective early-accept floor: `max(min_cycles, 4 × period)`.
     min_accept: u64,
     /// Next schedule point, `None` once the budget is exhausted.
-    pub(crate) next_checkpoint: Option<u64>,
+    next_checkpoint: Option<u64>,
     trail: Vec<SequentialCheckpoint>,
     verdict: Option<DetectionResult>,
     early: bool,
 }
 
 impl SequentialEngine {
-    pub(crate) fn new(
-        options: SequentialOptions,
-        criterion: DetectionCriterion,
-        inner: &StreamingCpa,
-    ) -> Self {
-        let min_accept = options.min_cycles.max(4 * inner.period() as u64);
-        let next_checkpoint = options.next_checkpoint_after(inner.cycles());
+    /// The schedule for a fold at its current cycle count: a restored
+    /// fold picks up at the next checkpoint an uninterrupted run would
+    /// have evaluated.
+    pub(crate) fn new(options: SequentialOptions, fold: &StreamingCpa) -> Self {
         SequentialEngine {
-            criterion,
             options,
-            min_accept,
-            next_checkpoint,
+            min_accept: options.min_cycles.max(4 * fold.period() as u64),
+            next_checkpoint: options.next_checkpoint_after(fold.cycles()),
             trail: Vec::new(),
             verdict: None,
             early: false,
@@ -246,16 +243,21 @@ impl SequentialEngine {
         self.verdict.is_some()
     }
 
-    /// Folds `ys` into `inner`, splitting at checkpoint boundaries so
+    /// Folds `ys` into `fold`, splitting at checkpoint boundaries so
     /// every evaluation happens at an exact schedule point regardless of
     /// how the caller chunks the stream. Input past a decision (accept
     /// or exhausted budget) is ignored.
-    pub(crate) fn push_chunk(&mut self, inner: &mut StreamingCpa, ys: &[f64]) {
+    pub(crate) fn push_chunk(
+        &mut self,
+        fold: &mut StreamingCpa,
+        criterion: &DetectionCriterion,
+        ys: &[f64],
+    ) {
         let mut rest = ys;
         while !rest.is_empty() && self.verdict.is_none() {
-            let cycles = inner.cycles();
+            let cycles = fold.cycles();
             if self.options.max_cycles.is_some_and(|max| cycles >= max) {
-                self.exhaust_budget(inner);
+                self.exhaust_budget(fold, criterion);
                 return;
             }
             let mut take = rest.len() as u64;
@@ -266,19 +268,19 @@ impl SequentialEngine {
                 take = take.min(max - cycles);
             }
             let take = take as usize;
-            inner.push_chunk(&rest[..take]);
+            fold.push_chunk(&rest[..take]);
             rest = &rest[take..];
 
-            let cycles = inner.cycles();
+            let cycles = fold.cycles();
             if self.next_checkpoint == Some(cycles) {
-                self.checkpoint_now(inner);
+                self.checkpoint_now(fold, criterion);
                 if self.verdict.is_some() {
                     return;
                 }
                 self.next_checkpoint = self.options.next_checkpoint_after(cycles);
             }
             if self.options.max_cycles == Some(cycles) {
-                self.exhaust_budget(inner);
+                self.exhaust_budget(fold, criterion);
                 return;
             }
         }
@@ -286,9 +288,9 @@ impl SequentialEngine {
 
     /// Evaluates the prefix spectrum at the current cycle count and
     /// applies the acceptance rule, recording a trail entry either way.
-    fn checkpoint_now(&mut self, inner: &StreamingCpa) -> bool {
-        let cycles = inner.cycles();
-        let Ok(spectrum) = inner.spectrum() else {
+    fn checkpoint_now(&mut self, fold: &StreamingCpa, criterion: &DetectionCriterion) {
+        let cycles = fold.cycles();
+        let Ok(spectrum) = fold.spectrum() else {
             // Below one period there is no spectrum to judge.
             self.trail.push(SequentialCheckpoint {
                 cycles,
@@ -296,9 +298,9 @@ impl SequentialEngine {
                 peak_rho: 0.0,
                 p_value: 1.0,
             });
-            return false;
+            return;
         };
-        let result = self.criterion.evaluate(&spectrum);
+        let result = criterion.evaluate(&spectrum);
         let p_value = spectrum.peak_p_value(cycles as usize);
         let accepted = result.detected
             && cycles >= self.min_accept
@@ -313,127 +315,49 @@ impl SequentialEngine {
             self.verdict = Some(result);
             self.early = true;
         }
-        accepted
     }
 
     /// Renders the fixed-budget verdict at the consumption cap. If the
     /// cap coincided with a (rejecting) checkpoint the trail entry is
     /// already there; otherwise evaluate one final checkpoint first so
     /// the trail records where the budget ran out.
-    fn exhaust_budget(&mut self, inner: &StreamingCpa) {
+    fn exhaust_budget(&mut self, fold: &StreamingCpa, criterion: &DetectionCriterion) {
         if self.verdict.is_some() {
             return;
         }
-        if self.trail.last().map(|c| c.cycles) != Some(inner.cycles()) {
-            self.checkpoint_now(inner);
+        if self.trail.last().map(|c| c.cycles) != Some(fold.cycles()) {
+            self.checkpoint_now(fold, criterion);
         }
         if self.verdict.is_none() {
-            self.verdict = Some(inner.detect(&self.criterion));
+            self.verdict = Some(fold.detect(criterion));
             self.early = false;
         }
     }
 
-    /// The session outcome: the early verdict if one fired, otherwise
-    /// the classic fixed-budget evaluation of everything consumed.
-    pub(crate) fn finalize(&self, inner: &StreamingCpa) -> SequentialResult {
-        let (result, early_stopped) = match self.verdict {
+    /// The session outcome and whether it stopped early: the early
+    /// verdict if one fired, otherwise the classic fixed-budget
+    /// evaluation of everything consumed.
+    pub(crate) fn outcome(
+        &self,
+        fold: &StreamingCpa,
+        criterion: &DetectionCriterion,
+    ) -> (DetectionResult, bool) {
+        match self.verdict {
             Some(result) => (result, self.early),
-            None => (inner.detect(&self.criterion), false),
-        };
-        SequentialResult {
-            result,
-            cycles_consumed: inner.cycles(),
-            early_stopped,
-            checkpoints: self.trail.clone(),
+            None => (fold.detect(criterion), false),
         }
     }
 
+    /// The checkpoints evaluated so far.
     pub(crate) fn checkpoints(&self) -> &[SequentialCheckpoint] {
         &self.trail
-    }
-}
-
-/// An in-flight sequential detection session: a [`StreamingCpa`] fold
-/// driven by a checkpoint schedule. Built by
-/// [`Detector::detect_sequential_streaming`](crate::Detector::detect_sequential_streaming)
-/// (or resumed by
-/// [`Detector::resume_sequential`](crate::Detector::resume_sequential)),
-/// fed with [`push_chunk`](Self::push_chunk), finished with
-/// [`finalize`](Self::finalize).
-///
-/// Once the session decides — the acceptance rule fires at a checkpoint
-/// or the [`max_cycles`](SequentialOptions::max_cycles) budget runs out —
-/// further input is ignored and [`cycles`](Self::cycles) freezes at the
-/// cycles the verdict consumed, which is where the serve path's CPU
-/// savings come from: chunks after the decision cost nothing.
-#[derive(Debug, Clone)]
-pub struct SequentialDetection {
-    inner: StreamingCpa,
-    engine: SequentialEngine,
-}
-
-impl SequentialDetection {
-    pub(crate) fn from_parts(
-        inner: StreamingCpa,
-        criterion: DetectionCriterion,
-        options: SequentialOptions,
-    ) -> Self {
-        let engine = SequentialEngine::new(options, criterion, &inner);
-        SequentialDetection { inner, engine }
-    }
-
-    /// Folds a chunk of trace samples, evaluating any checkpoints the
-    /// chunk crosses. Input past a decision is ignored.
-    pub fn push_chunk(&mut self, ys: &[f64]) {
-        self.engine.push_chunk(&mut self.inner, ys);
-    }
-
-    /// Whether the session has rendered its verdict (early accept or
-    /// exhausted budget) and stopped folding.
-    pub fn decided(&self) -> bool {
-        self.engine.decided()
-    }
-
-    /// Cycles folded so far; frozen once [`decided`](Self::decided).
-    pub fn cycles(&self) -> u64 {
-        self.inner.cycles()
-    }
-
-    /// The watermark period.
-    pub fn period(&self) -> usize {
-        self.inner.period()
-    }
-
-    /// The checkpoints evaluated so far.
-    pub fn checkpoints(&self) -> &[SequentialCheckpoint] {
-        self.engine.checkpoints()
-    }
-
-    /// Snapshot of the fold accumulators, resumable via
-    /// [`Detector::resume_sequential`](crate::Detector::resume_sequential).
-    /// The schedule needs no extra state: it is re-derived from the
-    /// options and the cycle count on restore.
-    pub fn state(&self) -> crate::StreamingCpaState {
-        self.inner.state()
-    }
-
-    /// The underlying fold session.
-    pub fn inner(&self) -> &StreamingCpa {
-        &self.inner
-    }
-
-    /// The session outcome (see [`SequentialResult`]). Callable at any
-    /// point; before any input it reports the conservative
-    /// not-detected verdict on zero cycles.
-    pub fn finalize(&self) -> SequentialResult {
-        self.engine.finalize(&self.inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CpaAlgo, DetectOptions, Detector};
+    use crate::{CpaAlgo, DetectMode, DetectOptions, Detector};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -506,42 +430,67 @@ mod tests {
     fn strong_watermark_stops_early_and_matches_prefix_detect() {
         let pattern = m_sequence_pattern();
         let y = noisy_trace(&pattern, 60_000, 41, 1.0, 2.0, 7);
+        let schedules = [
+            SequentialOptions::default().with_base_cycles(1024),
+            SequentialOptions::every(127),
+        ];
         for algo in [CpaAlgo::Folded, CpaAlgo::Fft] {
             let detector =
                 Detector::with_options(&pattern, DetectOptions::default().with_algo(algo))
                     .expect("valid");
-            let options = SequentialOptions::default().with_base_cycles(1024);
-            let outcome = detector.detect_sequential(&y, options).expect("valid");
-            assert!(outcome.early_stopped, "algo {algo:?}");
-            assert!(outcome.result.detected);
-            assert!(
-                outcome.cycles_consumed < 60_000 / 4,
-                "consumed {} of 60000 cycles",
-                outcome.cycles_consumed
-            );
-            assert!(!outcome.checkpoints.is_empty());
-            assert!(outcome.checkpoints.last().unwrap().accepted);
-            // The early verdict is detect() on exactly the consumed prefix.
-            let prefix = &y[..outcome.cycles_consumed as usize];
-            let direct = detector.detect(prefix).expect("valid");
-            assert_results_bit_identical(&outcome.result, &direct);
+            for options in schedules {
+                let outcome = detector.detect_sequential(&y, options).expect("valid");
+                assert!(outcome.early_stopped, "algo {algo:?}, {options:?}");
+                assert!(outcome.result.detected);
+                // The early stop lands on the embedded rotation.
+                assert_eq!(outcome.result.peak_rotation, 41);
+                assert!(
+                    outcome.cycles_consumed < 60_000 / 4,
+                    "consumed {} of 60000 cycles",
+                    outcome.cycles_consumed
+                );
+                assert!(!outcome.checkpoints.is_empty());
+                assert!(outcome.checkpoints.last().unwrap().accepted);
+                // The early verdict is detect() on exactly the consumed prefix.
+                let prefix = &y[..outcome.cycles_consumed as usize];
+                let direct = detector.detect(prefix).expect("valid");
+                assert_results_bit_identical(&outcome.result, &direct);
+            }
         }
+
+        // A weak watermark needs more cycles than a strong one.
+        let detector = Detector::new(&pattern).expect("valid");
+        let consumed = |amp: f64| {
+            let y = noisy_trace(&pattern, 60_000, 10, amp, 2.0, 3);
+            let outcome = detector
+                .detect_sequential(&y, SequentialOptions::every(127))
+                .expect("valid");
+            assert!(outcome.result.detected, "amplitude {amp}");
+            outcome.cycles_consumed
+        };
+        let (strong, weak) = (consumed(1.0), consumed(0.3));
+        assert!(weak > strong, "weak {weak} vs strong {strong}");
     }
 
     #[test]
     fn absent_watermark_runs_to_the_end_with_the_fixed_budget_verdict() {
         let pattern = m_sequence_pattern();
-        let y = noisy_trace(&pattern, 20_000, 0, 0.0, 2.0, 11);
         let detector = Detector::new(&pattern).expect("valid");
-        let outcome = detector
-            .detect_sequential(&y, SequentialOptions::default())
-            .expect("valid");
-        assert!(!outcome.early_stopped);
-        assert_eq!(outcome.cycles_consumed, 20_000);
-        let direct = detector.detect(&y).expect("valid");
-        assert_results_bit_identical(&outcome.result, &direct);
-        // Every checkpoint was evaluated and rejected.
-        assert!(outcome.checkpoints.iter().all(|c| !c.accepted));
+        let inputs = [
+            (20_000, 11, SequentialOptions::default()),
+            (30_000, 4, SequentialOptions::every(127)),
+        ];
+        for (cycles, seed, options) in inputs {
+            let y = noisy_trace(&pattern, cycles, 0, 0.0, 2.0, seed);
+            let outcome = detector.detect_sequential(&y, options).expect("valid");
+            assert!(!outcome.early_stopped, "{options:?}");
+            assert!(!outcome.result.detected, "{options:?}");
+            assert_eq!(outcome.cycles_consumed, cycles as u64);
+            let direct = detector.detect(&y).expect("valid");
+            assert_results_bit_identical(&outcome.result, &direct);
+            // Every checkpoint was evaluated and rejected.
+            assert!(outcome.checkpoints.iter().all(|c| !c.accepted));
+        }
     }
 
     /// Satellite regression: an adversarial burst that correlates
@@ -663,7 +612,7 @@ mod tests {
         assert_eq!(session.cycles(), 9_000);
         let outcome = session.finalize();
         assert!(!outcome.early_stopped);
-        assert_eq!(outcome.cycles_consumed, 9_000);
+        assert_eq!(outcome.cycles, 9_000);
         let direct = detector.detect(&y[..9_000]).expect("valid");
         assert_results_bit_identical(&outcome.result, &direct);
     }
@@ -691,10 +640,7 @@ mod tests {
                 }
             }
             let split = s.finalize();
-            assert_eq!(
-                split.cycles_consumed, whole.cycles_consumed,
-                "chunk {chunk_size}"
-            );
+            assert_eq!(split.cycles, whole.cycles, "chunk {chunk_size}");
             assert_eq!(split.early_stopped, whole.early_stopped);
             assert_results_bit_identical(&split.result, &whole.result);
             assert_eq!(split.checkpoints, whole.checkpoints);
@@ -723,11 +669,11 @@ mod tests {
                 continue; // nothing left to resume
             }
             let mut resumed = detector
-                .resume_sequential(first.state(), options)
+                .resume(DetectMode::Sequential(options), first.state())
                 .expect("valid state");
             resumed.push_chunk(&y[cut..]);
             let outcome = resumed.finalize();
-            assert_eq!(outcome.cycles_consumed, whole.cycles_consumed, "cut {cut}");
+            assert_eq!(outcome.cycles, whole.cycles, "cut {cut}");
             assert_eq!(outcome.early_stopped, whole.early_stopped);
             assert_results_bit_identical(&outcome.result, &whole.result);
         }

@@ -1,7 +1,4 @@
-use crate::sequential::SequentialEngine;
-use crate::{
-    CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SequentialOptions, SpreadSpectrum,
-};
+use crate::{CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SpreadSpectrum};
 
 /// An incremental rotational-CPA detector.
 ///
@@ -162,23 +159,16 @@ impl StreamingCpa {
                 need: period,
             });
         }
-        let algo = self
-            .algo
-            .or_else(crate::algo::algo_override)
-            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&self.pattern));
+        let algo = self.resolved_algo();
         let _span = clockmark_obs::span("cpa.streaming_spectrum")
             .field("period", period)
             .field("cycles", self.cycles)
             .field("algo", algo.as_str());
-        let inputs = crate::kernel::SpectrumInputs {
-            nf: self.cycles as f64,
-            sy: self.sum_y,
-            syy: self.sum_yy,
-            c: &self.residue_sums,
-            m: &self.residue_counts,
-            ones: &self.ones,
-        };
-        Ok(crate::kernel::spectrum_with_algo(&inputs, algo, 1))
+        Ok(crate::kernel::spectrum_with_algo(
+            &self.as_inputs(),
+            algo,
+            1,
+        ))
     }
 
     /// Evaluates the criterion against the current spectrum. Before one
@@ -187,14 +177,7 @@ impl StreamingCpa {
     pub fn detect(&self, criterion: &DetectionCriterion) -> DetectionResult {
         match self.spectrum() {
             Ok(spectrum) => spectrum.detect(criterion),
-            Err(_) => DetectionResult {
-                detected: false,
-                peak_rotation: 0,
-                peak_rho: 0.0,
-                floor_max_abs: 0.0,
-                ratio: 0.0,
-                zscore: 0.0,
-            },
+            Err(_) => DetectionResult::UNDECIDED,
         }
     }
 
@@ -262,91 +245,25 @@ impl StreamingCpa {
         Ok(detector)
     }
 
-    /// Consumes cycles from an iterator until the criterion is satisfied
-    /// (checking every `check_interval` cycles) or the iterator ends.
-    /// Returns the cycle count at detection, or `None` if the stream ended
-    /// undetected.
-    ///
-    /// This is the arithmetic-schedule special case of the sequential
-    /// engine (see [`SequentialOptions::every`]): cycles are buffered and
-    /// folded in checkpoint-aligned chunks (the vectorized
-    /// [`push_chunk`](Self::push_chunk) path, reusing the per-thread FFT
-    /// plan and SoA scratch) instead of the historical per-cycle push
-    /// with a from-scratch spectrum at every interval. The engine's
-    /// four-period early-accept floor applies: a checkpoint earlier than
-    /// `4 × period` cycles never stops the stream, guarding against
-    /// degenerate accepts on tiny prefixes. The end-of-stream evaluation
-    /// is the plain criterion, exactly as before.
-    pub fn run_until_detected<I: IntoIterator<Item = f64>>(
-        &mut self,
-        ys: I,
-        criterion: &DetectionCriterion,
-        check_interval: u64,
-    ) -> Option<u64> {
-        let options = SequentialOptions::every(check_interval);
-        let mut engine = SequentialEngine::new(options, *criterion, self);
-        let mut buf: Vec<f64> = Vec::with_capacity(1024);
-        for y in ys {
-            buf.push(y);
-            // Flush exactly at checkpoints (so a decision stops the
-            // iterator without over-consuming) and at a chunk bound.
-            let at_checkpoint = engine.next_checkpoint == Some(self.cycles + buf.len() as u64);
-            if at_checkpoint || buf.len() >= 8192 {
-                engine.push_chunk(self, &buf);
-                buf.clear();
-                if engine.decided() {
-                    return Some(self.cycles);
-                }
-            }
-        }
-        engine.push_chunk(self, &buf);
-        if engine.decided() || self.detect(criterion).detected {
-            Some(self.cycles)
-        } else {
-            None
-        }
+    /// The kernel a spectrum query runs: the pinned choice, else the
+    /// `CLOCKMARK_CPA_ALGO` override, else the work heuristic.
+    pub(crate) fn resolved_algo(&self) -> CpaAlgo {
+        self.algo
+            .or_else(crate::algo::algo_override)
+            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&self.pattern))
     }
 
-    /// Scores many candidate patterns against this fold at once and
-    /// ranks them — the identification workload. The fold depends only
-    /// on the period, so any session of the right period can answer for
-    /// any candidate set; see [`crate::Identification`] for the
-    /// bit-identity contract with independent detects.
-    ///
-    /// The kernel follows this session's pinned choice (else the usual
-    /// override/heuristic precedence); `CpaAlgo::Naive` is evaluated
-    /// with the (decision-identical) folded arithmetic, as a fold
-    /// retains no raw trace. `threads` partitions candidates and does
-    /// not affect the result bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CpaError::InsufficientCycles`] before one full period;
-    /// [`CpaError::PeriodMismatch`], [`CpaError::ConstantPattern`] or
-    /// [`CpaError::InvalidState`] (empty candidate list) for invalid
-    /// candidates.
-    pub fn identify(
-        &self,
-        candidates: &[crate::CandidatePattern],
-        criterion: &DetectionCriterion,
-        threads: usize,
-    ) -> Result<crate::Identification, CpaError> {
-        let algo = self
-            .algo
-            .or_else(crate::algo::algo_override)
-            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&self.pattern));
-        crate::identify::identify_over_fold(
-            self.cycles as f64,
-            self.sum_y,
-            self.sum_yy,
-            &self.residue_sums,
-            &self.residue_counts,
-            self.cycles,
-            candidates,
-            criterion,
-            algo,
-            threads,
-        )
+    /// Borrows the fold as the kernel-facing view the spectrum kernels
+    /// and the identification ranker operate on.
+    pub(crate) fn as_inputs(&self) -> crate::kernel::SpectrumInputs<'_> {
+        crate::kernel::SpectrumInputs {
+            nf: self.cycles as f64,
+            sy: self.sum_y,
+            syy: self.sum_yy,
+            c: &self.residue_sums,
+            m: &self.residue_counts,
+            ones: &self.ones,
+        }
     }
 }
 
@@ -374,7 +291,7 @@ pub struct StreamingCpaState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Detector;
+    use crate::{Detector, SequentialOptions, Verdict};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -424,44 +341,58 @@ mod tests {
         }
     }
 
+    /// Feeds a live stream to a sequential session that looks every
+    /// `check_interval` cycles, one interval at a time, and stops pulling
+    /// samples at the first accept.
+    fn feed_until_decided(
+        pattern: &[bool],
+        ys: impl IntoIterator<Item = f64>,
+        check_interval: u64,
+    ) -> Verdict {
+        let mut session = Detector::new(pattern)
+            .expect("valid")
+            .detect_sequential_streaming(SequentialOptions::every(check_interval));
+        let mut ys = ys.into_iter();
+        let mut pulled = 0;
+        while !session.decided() {
+            let chunk: Vec<f64> = ys.by_ref().take(check_interval as usize).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            pulled += chunk.len() as u64;
+            session.push_chunk(&chunk);
+        }
+        let verdict = session.finalize();
+        // The session folded every sample pulled and nothing past its accept.
+        assert_eq!(verdict.cycles, pulled);
+        verdict
+    }
+
     #[test]
     fn early_stopping_detects_before_the_stream_ends() {
         let pattern = m_sequence_pattern();
         let y = noisy_trace(&pattern, 20_000, 41, 1.0, 2.0, 2);
-        let mut streaming = StreamingCpa::new(&pattern).expect("valid");
-        let stopped_at = streaming
-            .run_until_detected(y.iter().copied(), &DetectionCriterion::default(), 127)
-            .expect("strong watermark must be found");
+        let verdict = feed_until_decided(&pattern, y, 127);
+        assert!(verdict.early_stopped, "strong watermark must be found");
+        assert!(verdict.result.detected);
         assert!(
-            stopped_at < 20_000,
-            "early stop at {stopped_at} should beat the full trace"
+            verdict.cycles < 20_000,
+            "early stop at {} should beat the full trace",
+            verdict.cycles
         );
-        assert_eq!(
-            streaming
-                .detect(&DetectionCriterion::default())
-                .peak_rotation,
-            41
-        );
+        assert_eq!(verdict.result.peak_rotation, 41);
     }
 
     #[test]
     fn weak_watermark_needs_more_cycles_than_strong() {
         let pattern = m_sequence_pattern();
-        let criterion = DetectionCriterion::default();
-        let strong = {
-            let y = noisy_trace(&pattern, 60_000, 10, 1.0, 2.0, 3);
-            StreamingCpa::new(&pattern)
-                .expect("valid")
-                .run_until_detected(y, &criterion, 127)
+        let stopped_at = |amp: f64| {
+            let y = noisy_trace(&pattern, 60_000, 10, amp, 2.0, 3);
+            let verdict = feed_until_decided(&pattern, y, 127);
+            assert!(verdict.result.detected, "amplitude {amp} detects");
+            verdict.cycles
         };
-        let weak = {
-            let y = noisy_trace(&pattern, 60_000, 10, 0.3, 2.0, 3);
-            StreamingCpa::new(&pattern)
-                .expect("valid")
-                .run_until_detected(y, &criterion, 127)
-        };
-        let strong = strong.expect("strong detects");
-        let weak = weak.expect("weak detects eventually");
+        let (strong, weak) = (stopped_at(1.0), stopped_at(0.3));
         assert!(weak > strong, "weak {weak} vs strong {strong}");
     }
 
@@ -469,11 +400,10 @@ mod tests {
     fn absent_watermark_never_stops_early() {
         let pattern = m_sequence_pattern();
         let y = noisy_trace(&pattern, 30_000, 0, 0.0, 2.0, 4);
-        let mut streaming = StreamingCpa::new(&pattern).expect("valid");
-        assert_eq!(
-            streaming.run_until_detected(y, &DetectionCriterion::default(), 127),
-            None
-        );
+        let verdict = feed_until_decided(&pattern, y, 127);
+        assert!(!verdict.early_stopped);
+        assert!(!verdict.result.detected);
+        assert_eq!(verdict.cycles, 30_000);
     }
 
     #[test]

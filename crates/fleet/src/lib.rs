@@ -30,7 +30,7 @@
 //!   non-identity scenario is refused: its jobs seed from the
 //!   campaign-global job index, which a shard does not know.
 //!
-//! The wire protocol is plain CMRPC1 version 5 (`ShardAssign` /
+//! The wire protocol is plain CMRPC1 version 6 (`ShardAssign` /
 //! `ShardResult` / `Heartbeat` frames, see `docs/fleet.md`): a fleet
 //! worker is just a `clockmark-serve` server with a [`ShardWorker`]
 //! installed, and keeps answering ping / status / detect / metrics like

@@ -9,8 +9,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use clockmark_cpa::{
-    CandidatePattern, DetectOptions, DetectionCriterion, Identification, SequentialOptions,
-    SequentialResult, TraceDetection,
+    CandidatePattern, DetectMode, DetectOptions, DetectionCriterion, Identification,
+    SequentialOptions, SequentialResult, TraceDetection, Verdict,
 };
 
 use crate::error::{io_err, ServeError};
@@ -296,23 +296,36 @@ impl Client {
         }
     }
 
-    /// Streams `samples` through a full detect exchange and returns the
-    /// server's verdict.
+    /// Streams `samples` through one detect exchange in `mode` and
+    /// returns the server's [`Verdict`] — bit-identical to an in-process
+    /// [`Detector::session`](clockmark_cpa::Detector::session) in the
+    /// same mode with the same options, fed the same samples.
     ///
     /// `options.threads` is not carried over the wire: thread policy is
     /// the server's to decide, and every kernel/thread combination
-    /// produces bit-identical spectra, so the verdict is unaffected.
-    pub fn detect(
+    /// produces bit-identical spectra, so the verdict is unaffected. The
+    /// client streams the whole trace even in sequential mode (the
+    /// protocol keeps `DetectChunk` unacknowledged so the socket stays
+    /// saturated); the saving is the server's fold/spectrum CPU, not
+    /// wire bandwidth.
+    pub fn exchange(
         &mut self,
         pattern: &[bool],
         options: DetectOptions,
+        mode: DetectMode,
         samples: &[f64],
-    ) -> Result<TraceDetection, ServeError> {
+    ) -> Result<Verdict, ServeError> {
         let sent_before = self.bytes_sent;
         let client_span = self.begin_traced_request()?;
-        let mut span = clockmark_obs::span("client.detect")
-            .field("cycles", samples.len() as u64)
-            .field("period", pattern.len() as u64);
+        let identify = matches!(mode, DetectMode::Identify(_));
+        let mut span = clockmark_obs::span(if identify {
+            "client.identify"
+        } else {
+            "client.detect"
+        })
+        .field("mode", mode.name())
+        .field("cycles", samples.len() as u64)
+        .field("period", pattern.len() as u64);
         if let (Some(span_id), Some(trace)) = (client_span, self.trace.as_ref()) {
             span = span
                 .field("trace_id", trace_id_hex(&trace.trace_id))
@@ -325,6 +338,7 @@ impl Client {
             pattern: pattern.to_vec(),
             algo: options.algo,
             criterion: options.criterion,
+            mode,
         })?;
         for chunk in samples.chunks(CLIENT_CHUNK) {
             self.send(&Request::DetectChunk {
@@ -332,32 +346,35 @@ impl Client {
             })?;
         }
         self.send(&Request::DetectFinish)?;
-        let outcome = match self.receive()? {
-            Response::Detection(detection) => Ok(detection),
-            other => Err(unexpected(&other)),
-        };
+        let outcome = self.receive_verdict();
         span = span.field("wire_bytes", self.bytes_sent - sent_before);
         if let Some(trace) = self.trace.as_ref() {
             span = span.field("server_span", trace.last_server_span);
         }
-        if let Ok(detection) = &outcome {
+        if let Ok(verdict) = &outcome {
             span = span
-                .field("peak_rho", detection.result.peak_rho)
-                .field("detected", detection.result.detected);
+                .field("cycles_consumed", verdict.cycles)
+                .field("early_stopped", verdict.early_stopped)
+                .field("peak_rho", verdict.result.peak_rho)
+                .field("detected", verdict.result.detected);
         }
         drop(span);
         outcome
     }
 
-    /// Streams `samples` through a *sequential* detect exchange: the
-    /// server evaluates the growing prefix on `seq` checkpoints and
-    /// freezes its fold the moment the acceptance rule fires, returning
-    /// the verdict with `cycles_consumed` and the checkpoint trail.
-    ///
-    /// The client still streams the whole trace (the protocol keeps
-    /// `DetectChunk` unacknowledged so the socket stays saturated); the
-    /// saving is the server's fold/spectrum CPU, not wire bandwidth.
-    /// The verdict is bit-identical to an in-process
+    /// [`exchange`](Self::exchange) in [`DetectMode::Fixed`].
+    pub fn detect(
+        &mut self,
+        pattern: &[bool],
+        options: DetectOptions,
+        samples: &[f64],
+    ) -> Result<TraceDetection, ServeError> {
+        self.exchange(pattern, options, DetectMode::Fixed, samples)
+            .map(TraceDetection::from)
+    }
+
+    /// [`exchange`](Self::exchange) in [`DetectMode::Sequential`]: the
+    /// verdict is bit-identical to an in-process
     /// [`Detector::detect_sequential`](clockmark_cpa::Detector::detect_sequential)
     /// with the same options on the same samples.
     pub fn detect_sequential(
@@ -367,53 +384,12 @@ impl Client {
         seq: SequentialOptions,
         samples: &[f64],
     ) -> Result<SequentialResult, ServeError> {
-        let sent_before = self.bytes_sent;
-        let client_span = self.begin_traced_request()?;
-        let mut span = clockmark_obs::span("client.detect")
-            .field("mode", "sequential")
-            .field("cycles", samples.len() as u64)
-            .field("period", pattern.len() as u64);
-        if let (Some(span_id), Some(trace)) = (client_span, self.trace.as_ref()) {
-            span = span
-                .field("trace_id", trace_id_hex(&trace.trace_id))
-                .field("span_id", span_id);
-        }
-        if let Some(algo) = options.algo {
-            span = span.field("algo", algo.as_str());
-        }
-        self.send(&Request::DetectSequentialStart {
-            pattern: pattern.to_vec(),
-            algo: options.algo,
-            criterion: options.criterion,
-            options: seq,
-        })?;
-        for chunk in samples.chunks(CLIENT_CHUNK) {
-            self.send(&Request::DetectChunk {
-                samples: chunk.to_vec(),
-            })?;
-        }
-        self.send(&Request::DetectFinish)?;
-        let outcome = match self.receive()? {
-            Response::SequentialDetection(result) => Ok(result),
-            other => Err(unexpected(&other)),
-        };
-        span = span.field("wire_bytes", self.bytes_sent - sent_before);
-        if let Some(trace) = self.trace.as_ref() {
-            span = span.field("server_span", trace.last_server_span);
-        }
-        if let Ok(result) = &outcome {
-            span = span
-                .field("cycles_consumed", result.cycles_consumed)
-                .field("early_stopped", result.early_stopped)
-                .field("detected", result.result.detected);
-        }
-        drop(span);
-        outcome
+        self.exchange(pattern, options, DetectMode::Sequential(seq), samples)
+            .map(SequentialResult::from)
     }
 
-    /// Streams `samples` once and ranks every candidate pattern against
-    /// the shared fold, returning the server's identification ledger —
-    /// bit-identical to an in-process
+    /// [`exchange`](Self::exchange) in [`DetectMode::Identify`]: the
+    /// ledger is bit-identical to an in-process
     /// [`Detector::identify`](clockmark_cpa::Detector::identify) on the
     /// same samples.
     pub fn identify(
@@ -423,46 +399,9 @@ impl Client {
         candidates: &[CandidatePattern],
         samples: &[f64],
     ) -> Result<Identification, ServeError> {
-        let sent_before = self.bytes_sent;
-        let client_span = self.begin_traced_request()?;
-        let mut span = clockmark_obs::span("client.identify")
-            .field("cycles", samples.len() as u64)
-            .field("period", pattern.len() as u64)
-            .field("candidates", candidates.len() as u64);
-        if let (Some(span_id), Some(trace)) = (client_span, self.trace.as_ref()) {
-            span = span
-                .field("trace_id", trace_id_hex(&trace.trace_id))
-                .field("span_id", span_id);
-        }
-        self.send(&Request::IdentifyStart {
-            pattern: pattern.to_vec(),
-            algo: options.algo,
-            criterion: options.criterion,
-            candidates: candidates.to_vec(),
-        })?;
-        for chunk in samples.chunks(CLIENT_CHUNK) {
-            self.send(&Request::DetectChunk {
-                samples: chunk.to_vec(),
-            })?;
-        }
-        self.send(&Request::DetectFinish)?;
-        let outcome = match self.receive()? {
-            Response::Identification(identification) => Ok(identification),
-            other => Err(unexpected(&other)),
-        };
-        span = span.field("wire_bytes", self.bytes_sent - sent_before);
-        if let Some(trace) = self.trace.as_ref() {
-            span = span.field("server_span", trace.last_server_span);
-        }
-        if let Ok(identification) = &outcome {
-            if let Some(best) = identification.scores.first() {
-                span = span
-                    .field("best", best.label.clone())
-                    .field("best_rho", best.result.peak_rho);
-            }
-        }
-        drop(span);
-        outcome
+        let mode = DetectMode::Identify(candidates.to_vec());
+        self.exchange(pattern, options, mode, samples)
+            .map(Identification::from)
     }
 
     /// Asks the server to detect `pattern` in a trace stored in a
@@ -490,10 +429,7 @@ impl Client {
             algo: options.algo,
             criterion: options.criterion,
         })?;
-        let outcome = match self.receive()? {
-            Response::Detection(detection) => Ok(detection),
-            other => Err(unexpected(&other)),
-        };
+        let outcome = self.receive_verdict().map(TraceDetection::from);
         if let Some(state) = self.trace.as_ref() {
             span = span.field("server_span", state.last_server_span);
         }
@@ -563,6 +499,14 @@ impl Client {
         let (ty, payload) = request.encode();
         self.bytes_sent += 5 + payload.len() as u64; // type + u32 length + payload
         write_frame(&mut self.stream, ty, &payload).map_err(|e| io_err("writing request", e))
+    }
+
+    /// Reads the answer of a detect exchange or corpus detect.
+    fn receive_verdict(&mut self) -> Result<Verdict, ServeError> {
+        match self.receive()? {
+            Response::Verdict(verdict) => Ok(verdict),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Reads the next response, translating error frames into

@@ -7,9 +7,10 @@
 //! dependency, matching the rest of the workspace.
 //!
 //! The wire protocol is deliberately a *thin encoding* of the
-//! in-process API: a `Detect` exchange streams `f64` chunks into the
-//! same [`StreamingDetection`](clockmark_cpa::StreamingDetection)
-//! session an in-process caller would use, and verdicts travel as
+//! in-process API: a detect exchange streams `f64` chunks into the same
+//! [`Session`](clockmark_cpa::Session), in the same
+//! [`DetectMode`](clockmark_cpa::DetectMode), that an in-process caller
+//! would use, and its [`Verdict`](clockmark_cpa::Verdict) travels as
 //! IEEE-754 bit patterns — so a verdict obtained over the wire is
 //! bit-identical (peak rotation, ρ, z-score) to one computed locally.
 //!

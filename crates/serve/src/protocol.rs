@@ -22,18 +22,22 @@
 //! `f64` bit patterns, so a detection verdict survives the wire
 //! bit-for-bit.
 //!
-//! A `Detect` exchange streams the trace:
+//! A detect exchange streams the trace, in any of the three
+//! [`DetectMode`]s:
 //!
 //! ```text
-//! client: DetectStart (pattern, algo, criterion)
+//! client: DetectStart (pattern, algo, criterion, mode)
 //! client: DetectChunk (raw f64 samples) ... repeated ...
 //! client: DetectFinish
-//! server: DetectResult (verdict + cycle count)   -- or Error at any point
+//! server: Verdict                                -- or Error
 //! ```
 //!
 //! `DetectStart` and `DetectChunk` are deliberately unacknowledged so
-//! a client can saturate the socket; the server replies exactly once
-//! per detect exchange, at `DetectFinish` or on the first failure.
+//! a client can saturate the socket, and the server answers exactly
+//! once per exchange, at `DetectFinish`. An exchange that fails earlier
+//! (a bad pattern, a draining server, an exhausted cycle budget)
+//! swallows its remaining chunks and answers the failure at
+//! `DetectFinish`, so the connection stays in step.
 //!
 //! ## Trace context
 //!
@@ -49,8 +53,8 @@
 //! backward-compatible at the frame level.
 
 use clockmark_cpa::{
-    CandidatePattern, CandidateScore, CpaAlgo, DetectionCriterion, DetectionResult, Identification,
-    SequentialCheckpoint, SequentialOptions, SequentialResult, TraceDetection,
+    CandidatePattern, CandidateScore, CpaAlgo, DetectMode, DetectionCriterion, DetectionResult,
+    SequentialCheckpoint, SequentialOptions, Verdict,
 };
 
 use crate::error::ServeError;
@@ -70,8 +74,13 @@ pub const MAGIC: [u8; 6] = *b"CMRPC1";
 /// reusing `DetectChunk`/`DetectFinish` for the trace stream. Version 5
 /// made `ShardAssign` carry the shard's whole campaign spec (as JSON)
 /// plus the fleet-wide job indices, in place of six re-encoded tuning
-/// fields, so a shard runs every campaign flavour.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// fields, so a shard runs every campaign flavour. Version 6 folded the
+/// three exchange shapes into one: `DetectStart` carries a mode tag
+/// (fixed, sequential with its options, identify with its candidates),
+/// every exchange and `DetectCorpus` answer with one `Verdict` frame,
+/// the v4 start and result frames (`0x0C`, `0x0D`, `0x89`, `0x8A`) are
+/// retired, and a failed exchange answers once, at `DetectFinish`.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Frame-type byte of the error frame (valid in either direction).
 pub const FRAME_ERROR: u8 = 0x7F;
@@ -87,19 +96,19 @@ const FRAME_TRACE_CONTEXT: u8 = 0x08;
 const FRAME_METRICS: u8 = 0x09;
 const FRAME_SHARD_ASSIGN: u8 = 0x0A;
 const FRAME_HEARTBEAT: u8 = 0x0B;
-const FRAME_DETECT_SEQ_START: u8 = 0x0C;
-const FRAME_IDENTIFY_START: u8 = 0x0D;
 
 const FRAME_PONG: u8 = 0x81;
-const FRAME_DETECT_RESULT: u8 = 0x82;
+const FRAME_VERDICT: u8 = 0x82;
 const FRAME_STATUS_REPORT: u8 = 0x83;
 const FRAME_SHUTDOWN_ACK: u8 = 0x84;
 const FRAME_METRICS_REPORT: u8 = 0x85;
 const FRAME_TRACE_ECHO: u8 = 0x86;
 const FRAME_SHARD_RESULT: u8 = 0x87;
 const FRAME_HEARTBEAT_ACK: u8 = 0x88;
-const FRAME_DETECT_SEQ_RESULT: u8 = 0x89;
-const FRAME_IDENTIFY_RESULT: u8 = 0x8A;
+
+const MODE_FIXED: u8 = 0;
+const MODE_SEQUENTIAL: u8 = 1;
+const MODE_IDENTIFY: u8 = 2;
 
 /// Length in bytes of a wire trace id.
 pub const TRACE_ID_LEN: usize = 16;
@@ -165,14 +174,22 @@ impl ErrorCode {
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// Open a detect exchange for the given watermark pattern.
+    /// Open a detect exchange for the given watermark pattern. The
+    /// exchange streams with `DetectChunk`, ends with `DetectFinish`, and
+    /// is answered once with [`Response::Verdict`].
     DetectStart {
-        /// Watermark pattern, one bool per cycle.
+        /// Watermark pattern, one bool per cycle. For identify it only
+        /// fixes the fold period; every candidate must share it.
         pattern: Vec<bool>,
         /// Kernel to pin, or `None` for the server-side heuristic.
         algo: Option<CpaAlgo>,
         /// Peak-significance thresholds to apply.
         criterion: DetectionCriterion,
+        /// What the exchange answers: a fixed-budget verdict, a
+        /// sequential one (the server freezes its fold at the first
+        /// accept; the client keeps streaming, so the saving is server
+        /// CPU, not bandwidth), or a ranked identification.
+        mode: DetectMode,
     },
     /// Trace samples for the open detect exchange.
     DetectChunk {
@@ -218,37 +235,6 @@ pub enum Request {
     /// Coordinator → worker: liveness + progress probe, answered with
     /// [`Response::Heartbeat`].
     Heartbeat,
-    /// Open a *sequential* detect exchange: the server evaluates the
-    /// growing prefix on the schedule in `options` and freezes the fold
-    /// once the acceptance rule fires (the client keeps streaming; the
-    /// saving is server CPU, not bandwidth). Streams and finishes with
-    /// the same `DetectChunk`/`DetectFinish` frames as a plain detect;
-    /// answered with [`Response::SequentialDetection`].
-    DetectSequentialStart {
-        /// Watermark pattern, one bool per cycle.
-        pattern: Vec<bool>,
-        /// Kernel to pin, or `None` for the server-side heuristic.
-        algo: Option<CpaAlgo>,
-        /// Peak-significance thresholds to apply.
-        criterion: DetectionCriterion,
-        /// Checkpoint schedule, confidence gate and budget.
-        options: SequentialOptions,
-    },
-    /// Open an *identification* exchange: one fold over the streamed
-    /// trace, scored against every candidate pattern. Streams and
-    /// finishes with `DetectChunk`/`DetectFinish`; answered with
-    /// [`Response::Identification`]. The anchor `pattern` fixes the fold
-    /// period; every candidate must share it.
-    IdentifyStart {
-        /// Fold-anchor pattern, one bool per cycle.
-        pattern: Vec<bool>,
-        /// Kernel to pin, or `None` for the server-side heuristic.
-        algo: Option<CpaAlgo>,
-        /// Peak-significance thresholds to apply.
-        criterion: DetectionCriterion,
-        /// Labelled candidate patterns to rank.
-        candidates: Vec<CandidatePattern>,
-    },
 }
 
 /// Everything a worker needs to run one campaign shard: where the shard
@@ -307,8 +293,10 @@ pub struct WorkerHeartbeat {
 pub enum Response {
     /// Answer to [`Request::Ping`].
     Pong,
-    /// Verdict of a detect exchange (inline or corpus-backed).
-    Detection(TraceDetection),
+    /// Verdict of a detect exchange or of `DetectCorpus`, in every mode:
+    /// IEEE-754 bit patterns throughout, so it is bit-identical to the
+    /// in-process `clockmark_cpa::Session` verdict on the same samples.
+    Verdict(Verdict),
     /// Answer to [`Request::Status`].
     Status(ServerStatus),
     /// The server acknowledged [`Request::Shutdown`] and is draining.
@@ -333,15 +321,6 @@ pub enum Response {
     },
     /// Answer to [`Request::Heartbeat`].
     Heartbeat(WorkerHeartbeat),
-    /// Verdict of a sequential detect exchange: the classic result plus
-    /// cycles actually consumed, the early-stop flag and the checkpoint
-    /// trail — all IEEE-754 bit patterns, so the verdict is bit-identical
-    /// to an in-process `clockmark_cpa::Detector::detect_sequential` on
-    /// the same samples.
-    SequentialDetection(SequentialResult),
-    /// Ranked ledger of an identification exchange, bit-identical to an
-    /// in-process `Detector::identify` on the same samples.
-    Identification(Identification),
     /// Echo of the session's trace context, sent immediately before a
     /// response while a [`Request::TraceContext`] is in effect.
     TraceEcho {
@@ -485,6 +464,24 @@ fn put_criterion(out: &mut Vec<u8>, c: &DetectionCriterion) {
     put_f64(out, c.min_zscore);
 }
 
+fn put_mode(out: &mut Vec<u8>, mode: &DetectMode) {
+    match mode {
+        DetectMode::Fixed => out.push(MODE_FIXED),
+        DetectMode::Sequential(options) => {
+            out.push(MODE_SEQUENTIAL);
+            put_sequential_options(out, options);
+        }
+        DetectMode::Identify(candidates) => {
+            out.push(MODE_IDENTIFY);
+            put_u32(out, candidates.len() as u32);
+            for candidate in candidates {
+                put_bytes(out, candidate.label.as_bytes());
+                put_pattern(out, &candidate.pattern);
+            }
+        }
+    }
+}
+
 fn put_sequential_options(out: &mut Vec<u8>, o: &SequentialOptions) {
     put_u64(out, o.base_cycles);
     put_f64(out, o.growth);
@@ -514,23 +511,19 @@ fn put_detection_result(out: &mut Vec<u8>, r: &DetectionResult) {
     put_f64(out, r.zscore);
 }
 
-fn put_sequential_result(out: &mut Vec<u8>, s: &SequentialResult) {
-    put_detection_result(out, &s.result);
-    put_u64(out, s.cycles_consumed);
-    out.push(s.early_stopped as u8);
-    put_u32(out, s.checkpoints.len() as u32);
-    for cp in &s.checkpoints {
+fn put_verdict(out: &mut Vec<u8>, v: &Verdict) {
+    put_detection_result(out, &v.result);
+    put_u64(out, v.cycles);
+    out.push(v.early_stopped as u8);
+    put_u32(out, v.checkpoints.len() as u32);
+    for cp in &v.checkpoints {
         put_u64(out, cp.cycles);
         out.push(cp.accepted as u8);
         put_f64(out, cp.peak_rho);
         put_f64(out, cp.p_value);
     }
-}
-
-fn put_identification(out: &mut Vec<u8>, id: &Identification) {
-    put_u64(out, id.cycles);
-    put_u32(out, id.scores.len() as u32);
-    for score in &id.scores {
+    put_u32(out, v.scores.len() as u32);
+    for score in &v.scores {
         put_u64(out, score.index as u64);
         put_bytes(out, score.label.as_bytes());
         put_detection_result(out, &score.result);
@@ -691,9 +684,9 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    fn sequential_result(&mut self) -> Result<SequentialResult, ServeError> {
+    fn verdict(&mut self) -> Result<Verdict, ServeError> {
         let result = self.detection_result()?;
-        let cycles_consumed = self.u64()?;
+        let cycles = self.u64()?;
         let early_stopped = self.bool()?;
         let count = self.u32()? as usize;
         let mut checkpoints = Vec::with_capacity(count.min(1 << 16));
@@ -705,16 +698,6 @@ impl<'a> Cursor<'a> {
                 p_value: self.f64()?,
             });
         }
-        Ok(SequentialResult {
-            result,
-            cycles_consumed,
-            early_stopped,
-            checkpoints,
-        })
-    }
-
-    fn identification(&mut self) -> Result<Identification, ServeError> {
-        let cycles = self.u64()?;
         let count = self.u32()? as usize;
         let mut scores = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
@@ -724,19 +707,32 @@ impl<'a> Cursor<'a> {
                 result: self.detection_result()?,
             });
         }
-        Ok(Identification { cycles, scores })
+        Ok(Verdict {
+            result,
+            cycles,
+            early_stopped,
+            checkpoints,
+            scores,
+        })
     }
 
-    fn candidates(&mut self) -> Result<Vec<CandidatePattern>, ServeError> {
-        let count = self.u32()? as usize;
-        let mut out = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            out.push(CandidatePattern {
-                label: self.string()?,
-                pattern: self.pattern()?,
-            });
+    fn mode(&mut self) -> Result<DetectMode, ServeError> {
+        match self.u8()? {
+            MODE_FIXED => Ok(DetectMode::Fixed),
+            MODE_SEQUENTIAL => Ok(DetectMode::Sequential(self.sequential_options()?)),
+            MODE_IDENTIFY => {
+                let count = self.u32()? as usize;
+                let mut candidates = Vec::with_capacity(count.min(1 << 16));
+                for _ in 0..count {
+                    candidates.push(CandidatePattern {
+                        label: self.string()?,
+                        pattern: self.pattern()?,
+                    });
+                }
+                Ok(DetectMode::Identify(candidates))
+            }
+            other => Err(malformed(format!("unknown detect mode tag {other}"))),
         }
-        Ok(out)
     }
 
     fn shard_spec(&mut self) -> Result<ShardSpec, ServeError> {
@@ -820,10 +816,12 @@ impl Request {
                 pattern,
                 algo,
                 criterion,
+                mode,
             } => {
                 put_pattern(&mut out, pattern);
                 put_algo(&mut out, *algo);
                 put_criterion(&mut out, criterion);
+                put_mode(&mut out, mode);
                 FRAME_DETECT_START
             }
             Request::DetectChunk { samples } => {
@@ -864,34 +862,6 @@ impl Request {
                 FRAME_SHARD_ASSIGN
             }
             Request::Heartbeat => FRAME_HEARTBEAT,
-            Request::DetectSequentialStart {
-                pattern,
-                algo,
-                criterion,
-                options,
-            } => {
-                put_pattern(&mut out, pattern);
-                put_algo(&mut out, *algo);
-                put_criterion(&mut out, criterion);
-                put_sequential_options(&mut out, options);
-                FRAME_DETECT_SEQ_START
-            }
-            Request::IdentifyStart {
-                pattern,
-                algo,
-                criterion,
-                candidates,
-            } => {
-                put_pattern(&mut out, pattern);
-                put_algo(&mut out, *algo);
-                put_criterion(&mut out, criterion);
-                put_u32(&mut out, candidates.len() as u32);
-                for candidate in candidates {
-                    put_bytes(&mut out, candidate.label.as_bytes());
-                    put_pattern(&mut out, &candidate.pattern);
-                }
-                FRAME_IDENTIFY_START
-            }
         };
         (ty, out)
     }
@@ -905,6 +875,7 @@ impl Request {
                 pattern: c.pattern()?,
                 algo: c.algo()?,
                 criterion: c.criterion()?,
+                mode: c.mode()?,
             },
             FRAME_DETECT_CHUNK => Request::DetectChunk {
                 samples: c.samples()?,
@@ -926,18 +897,6 @@ impl Request {
             FRAME_METRICS => Request::Metrics,
             FRAME_SHARD_ASSIGN => Request::ShardAssign(c.shard_spec()?),
             FRAME_HEARTBEAT => Request::Heartbeat,
-            FRAME_DETECT_SEQ_START => Request::DetectSequentialStart {
-                pattern: c.pattern()?,
-                algo: c.algo()?,
-                criterion: c.criterion()?,
-                options: c.sequential_options()?,
-            },
-            FRAME_IDENTIFY_START => Request::IdentifyStart {
-                pattern: c.pattern()?,
-                algo: c.algo()?,
-                criterion: c.criterion()?,
-                candidates: c.candidates()?,
-            },
             other => return Err(malformed(format!("unknown request frame 0x{other:02x}"))),
         };
         c.expect_end()?;
@@ -951,15 +910,9 @@ impl Response {
         let mut out = Vec::new();
         let ty = match self {
             Response::Pong => FRAME_PONG,
-            Response::Detection(d) => {
-                out.push(d.result.detected as u8);
-                put_u64(&mut out, d.result.peak_rotation as u64);
-                put_f64(&mut out, d.result.peak_rho);
-                put_f64(&mut out, d.result.floor_max_abs);
-                put_f64(&mut out, d.result.ratio);
-                put_f64(&mut out, d.result.zscore);
-                put_u64(&mut out, d.cycles);
-                FRAME_DETECT_RESULT
+            Response::Verdict(v) => {
+                put_verdict(&mut out, v);
+                FRAME_VERDICT
             }
             Response::Status(s) => {
                 put_u32(&mut out, s.active_sessions);
@@ -991,14 +944,6 @@ impl Response {
                 put_heartbeat(&mut out, h);
                 FRAME_HEARTBEAT_ACK
             }
-            Response::SequentialDetection(s) => {
-                put_sequential_result(&mut out, s);
-                FRAME_DETECT_SEQ_RESULT
-            }
-            Response::Identification(id) => {
-                put_identification(&mut out, id);
-                FRAME_IDENTIFY_RESULT
-            }
             Response::ShutdownAck => FRAME_SHUTDOWN_ACK,
             Response::Metrics { text } => {
                 put_bytes(&mut out, text.as_bytes());
@@ -1028,32 +973,7 @@ impl Response {
         let mut c = Cursor::new(payload);
         let resp = match frame_type {
             FRAME_PONG => Response::Pong,
-            FRAME_DETECT_RESULT => {
-                let detected = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(malformed(format!("detected flag must be 0/1, got {other}")))
-                    }
-                };
-                let peak_rotation = c.u64()? as usize;
-                let peak_rho = c.f64()?;
-                let floor_max_abs = c.f64()?;
-                let ratio = c.f64()?;
-                let zscore = c.f64()?;
-                let cycles = c.u64()?;
-                Response::Detection(TraceDetection {
-                    result: DetectionResult {
-                        detected,
-                        peak_rotation,
-                        peak_rho,
-                        floor_max_abs,
-                        ratio,
-                        zscore,
-                    },
-                    cycles,
-                })
-            }
+            FRAME_VERDICT => Response::Verdict(c.verdict()?),
             FRAME_STATUS_REPORT => Response::Status(ServerStatus {
                 active_sessions: c.u32()?,
                 max_sessions: c.u32()?,
@@ -1075,8 +995,6 @@ impl Response {
                 outcomes: c.string()?,
             },
             FRAME_HEARTBEAT_ACK => Response::Heartbeat(c.heartbeat()?),
-            FRAME_DETECT_SEQ_RESULT => Response::SequentialDetection(c.sequential_result()?),
-            FRAME_IDENTIFY_RESULT => Response::Identification(c.identification()?),
             FRAME_SHUTDOWN_ACK => Response::ShutdownAck,
             FRAME_METRICS_REPORT => Response::Metrics { text: c.string()? },
             FRAME_TRACE_ECHO => Response::TraceEcho {
@@ -1205,11 +1123,13 @@ mod tests {
             pattern: vec![true, false, true, true],
             algo: Some(CpaAlgo::Fft),
             criterion: DetectionCriterion::default(),
+            mode: DetectMode::Fixed,
         });
         round_trip_request(Request::DetectStart {
             pattern: vec![true, false],
             algo: None,
             criterion: DetectionCriterion::lenient(),
+            mode: DetectMode::Fixed,
         });
         round_trip_request(Request::DetectChunk {
             samples: vec![0.25, -1.5, f64::MIN_POSITIVE],
@@ -1243,30 +1163,32 @@ mod tests {
 
     #[test]
     fn sequential_and_identify_frames_round_trip() {
-        round_trip_request(Request::DetectSequentialStart {
+        round_trip_request(Request::DetectStart {
             pattern: vec![true, false, true],
             algo: Some(CpaAlgo::Fft),
             criterion: DetectionCriterion::default(),
-            options: SequentialOptions::default()
-                .with_confidence(1e-9)
-                .with_max_cycles(300_000),
+            mode: DetectMode::Sequential(
+                SequentialOptions::default()
+                    .with_confidence(1e-9)
+                    .with_max_cycles(300_000),
+            ),
         });
-        round_trip_request(Request::DetectSequentialStart {
+        round_trip_request(Request::DetectStart {
             pattern: vec![true, false],
             algo: None,
             criterion: DetectionCriterion::lenient(),
-            options: SequentialOptions::every(512),
+            mode: DetectMode::Sequential(SequentialOptions::every(512)),
         });
-        round_trip_request(Request::IdentifyStart {
+        round_trip_request(Request::DetectStart {
             pattern: vec![true, false, true, false],
             algo: Some(CpaAlgo::Folded),
             criterion: DetectionCriterion::default(),
-            candidates: vec![
+            mode: DetectMode::Identify(vec![
                 CandidatePattern::new("a", vec![true, false, true, false]),
                 CandidatePattern::new("b", vec![false, true, true, false]),
-            ],
+            ]),
         });
-        round_trip_response(Response::SequentialDetection(SequentialResult {
+        round_trip_response(Response::Verdict(Verdict {
             result: DetectionResult {
                 detected: true,
                 peak_rotation: 41,
@@ -1275,7 +1197,7 @@ mod tests {
                 ratio: 12.5,
                 zscore: 8.0,
             },
-            cycles_consumed: 16_384,
+            cycles: 16_384,
             early_stopped: true,
             checkpoints: vec![
                 SequentialCheckpoint {
@@ -1291,28 +1213,33 @@ mod tests {
                     p_value: 1e-12,
                 },
             ],
+            scores: Vec::new(),
         }));
-        round_trip_response(Response::Identification(Identification {
+        let best = DetectionResult {
+            detected: true,
+            peak_rotation: 13,
+            peak_rho: -0.4,
+            floor_max_abs: 0.02,
+            ratio: 20.0,
+            zscore: 11.0,
+        };
+        round_trip_response(Response::Verdict(Verdict {
+            result: best,
             cycles: 40_000,
+            early_stopped: false,
+            checkpoints: Vec::new(),
             scores: vec![CandidateScore {
                 index: 3,
                 label: "lfsr7:shift=35".into(),
-                result: DetectionResult {
-                    detected: true,
-                    peak_rotation: 13,
-                    peak_rho: -0.4,
-                    floor_max_abs: 0.02,
-                    ratio: 20.0,
-                    zscore: 11.0,
-                },
+                result: best,
             }],
         }));
         // Truncated sequential options (missing the max_cycles flag).
-        let (ty, full) = Request::DetectSequentialStart {
+        let (ty, full) = Request::DetectStart {
             pattern: vec![true, false],
             algo: None,
             criterion: DetectionCriterion::default(),
-            options: SequentialOptions::default(),
+            mode: DetectMode::Sequential(SequentialOptions::default()),
         }
         .encode();
         assert!(Request::decode(ty, &full[..full.len() - 1]).is_err());
@@ -1320,12 +1247,22 @@ mod tests {
         let mut bad = full.clone();
         *bad.last_mut().unwrap() = 2;
         assert!(Request::decode(ty, &bad).is_err());
+        // So is a mode tag no version defines.
+        let (ty, mut fixed) = Request::DetectStart {
+            pattern: vec![true, false],
+            algo: None,
+            criterion: DetectionCriterion::default(),
+            mode: DetectMode::Fixed,
+        }
+        .encode();
+        *fixed.last_mut().unwrap() = 3;
+        assert!(Request::decode(ty, &fixed).is_err());
     }
 
     #[test]
     fn responses_round_trip() {
         round_trip_response(Response::Pong);
-        round_trip_response(Response::Detection(TraceDetection {
+        round_trip_response(Response::Verdict(Verdict {
             result: DetectionResult {
                 detected: true,
                 peak_rotation: 17,
@@ -1335,6 +1272,9 @@ mod tests {
                 zscore: 9.9,
             },
             cycles: 100_000,
+            early_stopped: false,
+            checkpoints: Vec::new(),
+            scores: Vec::new(),
         }));
         round_trip_response(Response::Status(ServerStatus {
             active_sessions: 3,
@@ -1387,7 +1327,7 @@ mod tests {
     fn detection_survives_the_wire_bit_for_bit() {
         // NaN-adjacent and subnormal values must round-trip exactly: the
         // wire carries IEEE-754 bit patterns, not decimal renderings.
-        let original = TraceDetection {
+        let original = Verdict {
             result: DetectionResult {
                 detected: false,
                 peak_rotation: usize::MAX >> 1,
@@ -1397,10 +1337,13 @@ mod tests {
                 zscore: -0.0,
             },
             cycles: u64::MAX,
+            early_stopped: false,
+            checkpoints: Vec::new(),
+            scores: Vec::new(),
         };
-        let (ty, payload) = Response::Detection(original).encode();
+        let (ty, payload) = Response::Verdict(original.clone()).encode();
         match Response::decode(ty, &payload).expect("decodes") {
-            Response::Detection(d) => {
+            Response::Verdict(d) => {
                 assert_eq!(d.result.peak_rotation, original.result.peak_rotation);
                 assert_eq!(
                     d.result.peak_rho.to_bits(),
@@ -1414,7 +1357,7 @@ mod tests {
                 assert_eq!(d.result.zscore.to_bits(), original.result.zscore.to_bits());
                 assert_eq!(d.cycles, original.cycles);
             }
-            other => panic!("expected Detection, got {other:?}"),
+            other => panic!("expected Verdict, got {other:?}"),
         }
     }
 
@@ -1432,6 +1375,7 @@ mod tests {
             pattern: vec![true, false, true],
             algo: None,
             criterion: DetectionCriterion::default(),
+            mode: DetectMode::Fixed,
         }
         .encode();
         assert!(Request::decode(ty, &full[..full.len() - 1]).is_err());
@@ -1500,5 +1444,11 @@ mod tests {
         let mut wrong_version = buf.clone();
         wrong_version[6] = 99;
         assert!(read_greeting(&mut wrong_version.as_slice()).is_err());
+
+        // A v5 peer speaks the retired exchange frames: refused cleanly.
+        let mut v5 = buf.clone();
+        v5[6..].copy_from_slice(&5u16.to_le_bytes());
+        let err = read_greeting(&mut v5.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("version 5"), "{err}");
     }
 }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use clockmark_cpa::{CpaAlgo, DetectOptions, Detector, StreamingDetection};
+use clockmark_cpa::{CpaAlgo, CpaError, DetectMode, DetectOptions, DetectionCriterion, Detector};
 
 use crate::error::{io_err, ServeError};
 use crate::protocol::{
@@ -513,34 +513,78 @@ fn reject_session(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// What a streamed detect exchange resolves to at `DetectFinish`.
-enum ExchangeKind {
-    /// Classic fixed-budget detect: fold everything, evaluate once.
-    Plain(StreamingDetection),
-    /// Sequential early-termination detect: the session freezes its
-    /// fold once the acceptance rule fires, so later chunks cost only
-    /// the `decided()` check. The client keeps streaming — the saving
-    /// is server CPU, not wire bandwidth.
-    Sequential(clockmark_cpa::SequentialDetection),
-    /// Batched identification: one fold, scored against every candidate
-    /// at finish.
-    Identify {
-        session: StreamingDetection,
-        candidates: Vec<clockmark_cpa::CandidatePattern>,
-    },
-}
-
-/// An in-progress streamed detect exchange.
+/// An in-progress streamed detect exchange, in any [`DetectMode`].
+///
+/// It answers exactly once, at `DetectFinish`: a failure before then
+/// drops the session and swallows the exchange's remaining chunks, and
+/// `DetectFinish` answers that failure, so the client's next read is
+/// always this exchange's answer.
 struct DetectExchange {
-    detector: Detector,
-    kind: ExchangeKind,
+    /// The open session and the kernel it resolves to, or the failure
+    /// `DetectFinish` will answer.
+    session: Result<(clockmark_cpa::Session, CpaAlgo), (ErrorCode, String)>,
+    /// The mode's name, for the finish span.
+    mode: &'static str,
+    /// Whether the exchange ranks candidates (`serve.identify`) rather
+    /// than judging one pattern (`serve.detect`).
+    identify: bool,
     /// Cycles streamed by the client, counted independently of the
     /// session: a decided sequential session stops ingesting (its
     /// `cycles()` freezes), but the server's per-exchange cycle budget
-    /// applies to what arrives on the wire.
+    /// and the one-period minimum apply to what arrives on the wire.
     streamed: u64,
     /// Payload bytes received for this exchange (start + chunks).
     wire_bytes: u64,
+}
+
+impl DetectExchange {
+    /// Opens an exchange; a draining server or an invalid pattern or
+    /// candidate list is held as the exchange's failure.
+    fn start(
+        shared: &Shared,
+        pattern: &[bool],
+        algo: Option<CpaAlgo>,
+        criterion: DetectionCriterion,
+        mode: DetectMode,
+        wire_bytes: u64,
+    ) -> Self {
+        let (name, identify) = (mode.name(), matches!(mode, DetectMode::Identify(_)));
+        let session = if shared.draining.load(Ordering::SeqCst) {
+            Err((ErrorCode::Draining, "server is draining".to_owned()))
+        } else {
+            detector(pattern, algo, criterion)
+                .and_then(|detector| Ok((detector.session(mode)?, detector.resolved_algo())))
+                .map_err(|e| (ErrorCode::Cpa, e.to_string()))
+        };
+        DetectExchange {
+            session,
+            mode: name,
+            identify,
+            streamed: 0,
+            wire_bytes,
+        }
+    }
+
+    /// Fails the exchange unless it already failed: the first failure
+    /// is the one `DetectFinish` answers.
+    fn fail(&mut self, code: ErrorCode, message: String) {
+        if self.session.is_ok() {
+            self.session = Err((code, message));
+        }
+    }
+}
+
+/// The detector a wire request asks for.
+fn detector(
+    pattern: &[bool],
+    algo: Option<CpaAlgo>,
+    criterion: DetectionCriterion,
+) -> Result<Detector, CpaError> {
+    let mut options = DetectOptions::default().with_criterion(criterion);
+    if let Some(algo) = algo {
+        options = options.with_algo(algo);
+    }
+    Detector::with_options(pattern, options)
 }
 
 /// The session's sticky trace context, set by [`Request::TraceContext`].
@@ -587,8 +631,6 @@ fn request_name(request: &Request) -> &'static str {
         Request::Metrics => "metrics",
         Request::ShardAssign(_) => "shard_assign",
         Request::Heartbeat => "heartbeat",
-        Request::DetectSequentialStart { .. } => "detect_sequential_start",
-        Request::IdentifyStart { .. } => "identify_start",
     }
 }
 
@@ -1132,116 +1174,22 @@ fn handle_request_inner(
             pattern,
             algo,
             criterion,
+            mode,
         } => {
-            if exchange.is_some() {
-                return fail(
-                    stream,
-                    trace,
+            match exchange {
+                // A start inside an open exchange fails that exchange,
+                // which still answers once, at its DetectFinish.
+                Some(open) => open.fail(
                     ErrorCode::BadSequence,
-                    "DetectStart while a detect exchange is already open",
-                );
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return fail(stream, trace, ErrorCode::Draining, "server is draining");
-            }
-            let mut options = DetectOptions::default().with_criterion(criterion);
-            if let Some(algo) = algo {
-                options = options.with_algo(algo);
-            }
-            match Detector::with_options(&pattern, options) {
-                Ok(detector) => {
-                    let session = detector.detect_streaming();
-                    *exchange = Some(DetectExchange {
-                        detector,
-                        kind: ExchangeKind::Plain(session),
-                        streamed: 0,
-                        wire_bytes,
-                    });
-                    Flow::Continue
+                    "DetectStart while a detect exchange is already open".to_owned(),
+                ),
+                None => {
+                    *exchange = Some(DetectExchange::start(
+                        shared, &pattern, algo, criterion, mode, wire_bytes,
+                    ))
                 }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
             }
-        }
-        Request::DetectSequentialStart {
-            pattern,
-            algo,
-            criterion,
-            options: seq_options,
-        } => {
-            if exchange.is_some() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::BadSequence,
-                    "DetectSequentialStart while a detect exchange is already open",
-                );
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return fail(stream, trace, ErrorCode::Draining, "server is draining");
-            }
-            let mut options = DetectOptions::default().with_criterion(criterion);
-            if let Some(algo) = algo {
-                options = options.with_algo(algo);
-            }
-            match Detector::with_options(&pattern, options) {
-                Ok(detector) => {
-                    let session = detector.detect_sequential_streaming(seq_options);
-                    *exchange = Some(DetectExchange {
-                        detector,
-                        kind: ExchangeKind::Sequential(session),
-                        streamed: 0,
-                        wire_bytes,
-                    });
-                    Flow::Continue
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
-        Request::IdentifyStart {
-            pattern,
-            algo,
-            criterion,
-            candidates,
-        } => {
-            if exchange.is_some() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::BadSequence,
-                    "IdentifyStart while a detect exchange is already open",
-                );
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return fail(stream, trace, ErrorCode::Draining, "server is draining");
-            }
-            if candidates.is_empty() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::Cpa,
-                    "identify needs at least one candidate pattern",
-                );
-            }
-            let mut options = DetectOptions::default().with_criterion(criterion);
-            if let Some(algo) = algo {
-                options = options.with_algo(algo);
-            }
-            match Detector::with_options(&pattern, options) {
-                Ok(detector) => {
-                    let session = detector.detect_streaming();
-                    *exchange = Some(DetectExchange {
-                        detector,
-                        kind: ExchangeKind::Identify {
-                            session,
-                            candidates,
-                        },
-                        streamed: 0,
-                        wire_bytes,
-                    });
-                    Flow::Continue
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
+            Flow::Continue
         }
         Request::DetectChunk { samples } => {
             let Some(open) = exchange.as_mut() else {
@@ -1252,25 +1200,19 @@ fn handle_request_inner(
                     "DetectChunk without DetectStart",
                 );
             };
-            let next = open.streamed.saturating_add(samples.len() as u64);
-            if next > shared.limits.max_cycles {
-                *exchange = None;
-                return fail(
-                    stream,
-                    trace,
+            open.streamed = open.streamed.saturating_add(samples.len() as u64);
+            open.wire_bytes = open.wire_bytes.saturating_add(wire_bytes);
+            if open.streamed > shared.limits.max_cycles {
+                open.fail(
                     ErrorCode::TooManyCycles,
-                    &format!(
+                    format!(
                         "trace exceeds the server's {}-cycle budget",
                         shared.limits.max_cycles
                     ),
                 );
             }
-            open.streamed = next;
-            open.wire_bytes = open.wire_bytes.saturating_add(wire_bytes);
-            match &mut open.kind {
-                ExchangeKind::Plain(session) => session.push_chunk(&samples),
-                ExchangeKind::Sequential(session) => session.push_chunk(&samples),
-                ExchangeKind::Identify { session, .. } => session.push_chunk(&samples),
+            if let Ok((session, _)) = &mut open.session {
+                session.push_chunk(&samples);
             }
             Flow::Continue
         }
@@ -1314,7 +1256,7 @@ fn handle_request_inner(
             ) {
                 Ok((detection, algo)) => {
                     shared.note_served(algo);
-                    send_response(stream, trace, &Response::Detection(detection))
+                    send_response(stream, trace, &Response::Verdict(detection.into()))
                 }
                 Err((code, message)) => fail(stream, trace, code, &message),
             }
@@ -1364,9 +1306,9 @@ fn handle_request_inner(
     }
 }
 
-/// Resolves a finished detect exchange into its response frame: the
-/// plain verdict, the sequential verdict plus checkpoint trail, or the
-/// ranked identification ledger.
+/// Answers a finished detect exchange with its verdict, or with the
+/// failure it hit. Below one watermark period every mode is refused with
+/// `Cpa`, as the in-process detector refuses such a trace.
 fn finish_exchange(
     stream: &mut TcpStream,
     shared: &Shared,
@@ -1374,92 +1316,45 @@ fn finish_exchange(
     open: DetectExchange,
     wire_bytes: u64,
 ) -> Flow {
-    let algo = open.detector.resolved_algo();
-    let wire_total = open.wire_bytes.saturating_add(wire_bytes);
-    let with_trace = |mut span: clockmark_obs::Span| {
-        if let Some(t) = trace {
-            span = span
-                .field("trace_id", trace_id_hex(&t.trace_id))
-                .field("parent_span", t.current_span);
-        }
-        span
+    let (session, algo) = match open.session {
+        Ok(session) => session,
+        Err((code, message)) => return fail(stream, trace, code, &message),
     };
-    match open.kind {
-        ExchangeKind::Plain(session) => {
-            let mut detect_span = with_trace(
-                clockmark_obs::span("serve.detect")
-                    .field("cycles", session.cycles())
-                    .field("period", session.period() as u64)
-                    .field("algo", algo.as_str())
-                    .field("wire_bytes", wire_total),
-            );
-            let outcome = session
-                .spectrum()
-                .map(|spectrum| clockmark_cpa::TraceDetection {
-                    result: open.detector.criterion().evaluate(&spectrum),
-                    cycles: session.cycles(),
-                });
-            if let Ok(detection) = &outcome {
-                detect_span = detect_span
-                    .field("peak_rho", detection.result.peak_rho)
-                    .field("detected", detection.result.detected);
-            }
-            drop(detect_span);
-            match outcome {
-                Ok(detection) => {
-                    clockmark_obs::observe("serve.detect.cycles_consumed", detection.cycles as f64);
-                    shared.note_served(algo);
-                    send_response(stream, trace, &Response::Detection(detection))
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
-        ExchangeKind::Sequential(session) => {
-            let detect_span = with_trace(
-                clockmark_obs::span("serve.detect")
-                    .field("mode", "sequential")
-                    .field("streamed", open.streamed)
-                    .field("period", session.period() as u64)
-                    .field("algo", algo.as_str())
-                    .field("wire_bytes", wire_total),
-            );
-            let outcome = session.finalize();
-            let detect_span = detect_span
-                .field("cycles", outcome.cycles_consumed)
-                .field("early_stopped", outcome.early_stopped)
-                .field("peak_rho", outcome.result.peak_rho)
-                .field("detected", outcome.result.detected);
-            drop(detect_span);
-            clockmark_obs::observe(
-                "serve.detect.cycles_consumed",
-                outcome.cycles_consumed as f64,
-            );
-            shared.note_served(algo);
-            send_response(stream, trace, &Response::SequentialDetection(outcome))
-        }
-        ExchangeKind::Identify {
-            session,
-            candidates,
-        } => {
-            let identify_span = with_trace(
-                clockmark_obs::span("serve.identify")
-                    .field("cycles", session.cycles())
-                    .field("period", session.period() as u64)
-                    .field("candidates", candidates.len() as u64)
-                    .field("algo", algo.as_str())
-                    .field("wire_bytes", wire_total),
-            );
-            let outcome = session.identify(&candidates);
-            drop(identify_span);
-            match outcome {
-                Ok(identification) => {
-                    shared.note_served(algo);
-                    send_response(stream, trace, &Response::Identification(identification))
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
+    let period = session.period();
+    if open.streamed < period as u64 {
+        let short = CpaError::InsufficientCycles {
+            have: open.streamed,
+            need: period,
+        };
+        return fail(stream, trace, ErrorCode::Cpa, &short.to_string());
     }
+    let mut span = clockmark_obs::span(if open.identify {
+        "serve.identify"
+    } else {
+        "serve.detect"
+    })
+    .field("mode", open.mode)
+    .field("streamed", open.streamed)
+    .field("period", period as u64)
+    .field("algo", algo.as_str())
+    .field("wire_bytes", open.wire_bytes.saturating_add(wire_bytes));
+    if let Some(t) = trace {
+        span = span
+            .field("trace_id", trace_id_hex(&t.trace_id))
+            .field("parent_span", t.current_span);
+    }
+    let verdict = session.finalize();
+    drop(
+        span.field("cycles", verdict.cycles)
+            .field("early_stopped", verdict.early_stopped)
+            .field("peak_rho", verdict.result.peak_rho)
+            .field("detected", verdict.result.detected),
+    );
+    if !open.identify {
+        clockmark_obs::observe("serve.detect.cycles_consumed", verdict.cycles as f64);
+    }
+    shared.note_served(algo);
+    send_response(stream, trace, &Response::Verdict(verdict))
 }
 
 /// Runs a corpus-backed detect and classifies any failure for the wire.
@@ -1470,16 +1365,12 @@ fn detect_corpus(
     corpus: &str,
     trace: &str,
     pattern: &[bool],
-    algo: Option<clockmark_cpa::CpaAlgo>,
-    criterion: clockmark_cpa::DetectionCriterion,
+    algo: Option<CpaAlgo>,
+    criterion: DetectionCriterion,
     trace_ctx: Option<&TraceCtx>,
 ) -> Result<(clockmark_cpa::TraceDetection, CpaAlgo), (ErrorCode, String)> {
-    let mut options = DetectOptions::default().with_criterion(criterion);
-    if let Some(algo) = algo {
-        options = options.with_algo(algo);
-    }
     let detector =
-        Detector::with_options(pattern, options).map_err(|e| (ErrorCode::Cpa, e.to_string()))?;
+        detector(pattern, algo, criterion).map_err(|e| (ErrorCode::Cpa, e.to_string()))?;
     let resolved = detector.resolved_algo();
 
     let store =

@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use clockmark_cpa::{DetectOptions, DetectionCriterion, Detector};
+use clockmark_cpa::{DetectMode, DetectOptions, DetectionCriterion, Detector};
 use clockmark_serve::{
     protocol, Client, ErrorCode, Request, Response, ServeError, ServeLimits, Server, ServerHandle,
 };
@@ -118,6 +118,7 @@ fn truncated_frame_mid_stream_only_kills_that_session() {
             pattern: pattern(),
             algo: None,
             criterion: DetectionCriterion::default(),
+            mode: DetectMode::Fixed,
         }
         .encode();
         protocol::write_frame(&mut stream, ty, &payload).unwrap();
@@ -151,6 +152,7 @@ fn client_disconnect_mid_detect_frees_the_slot() {
             pattern: pattern(),
             algo: None,
             criterion: DetectionCriterion::default(),
+            mode: DetectMode::Fixed,
         }
         .encode();
         protocol::write_frame(&mut stream, ty, &payload).unwrap();
@@ -244,6 +246,7 @@ fn detect_frames_out_of_order_get_bad_sequence() {
         pattern: pattern.clone(),
         algo: None,
         criterion: DetectionCriterion::default(),
+        mode: DetectMode::Fixed,
     }
     .encode();
     protocol::write_frame(&mut stream, ty, &payload).unwrap();
@@ -253,7 +256,7 @@ fn detect_frames_out_of_order_get_bad_sequence() {
     protocol::write_frame(&mut stream, ty, &payload).unwrap();
     let (ty, payload) = protocol::read_frame(&mut stream, 1 << 16).expect("result frame");
     match Response::decode(ty, &payload).expect("decodes") {
-        Response::Detection(d) => assert_eq!(d.cycles, y.len() as u64),
+        Response::Verdict(d) => assert_eq!(d.cycles, y.len() as u64),
         other => panic!("expected detection, got {other:?}"),
     }
 
@@ -278,6 +281,98 @@ fn cycle_budget_is_enforced_per_exchange() {
     handle.shutdown();
 }
 
+/// Asserts `outcome` is the remote error `code`.
+fn assert_remote<T: std::fmt::Debug>(outcome: Result<T, ServeError>, code: ErrorCode) {
+    match outcome {
+        Err(ServeError::Remote { code: got, .. }) => assert_eq!(got, code),
+        other => panic!("expected remote {code:?}, got {other:?}"),
+    }
+}
+
+/// A failed exchange answers once, at `DetectFinish`, and swallows the
+/// rest of its frames, so the connection stays in step: the same client
+/// pings and detects correctly after every kind of failure.
+#[test]
+fn a_failed_exchange_leaves_its_connection_in_step() {
+    let handle = start(ServeLimits {
+        max_cycles: 1000,
+        ..quick_limits()
+    });
+    let pattern = pattern();
+    let y = trace(pattern.len() * 10);
+    let local = Detector::new(&pattern)
+        .expect("detector")
+        .detect(&y)
+        .expect("local detect");
+    let options = DetectOptions::default();
+
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let failures: [&dyn Fn(&mut Client) -> ErrorCode; 3] = [
+        &|c| {
+            assert_remote(c.detect(&[true; 64], options, &y), ErrorCode::Cpa);
+            ErrorCode::Cpa
+        },
+        &|c| {
+            assert_remote(c.identify(&pattern, options, &[], &y), ErrorCode::Cpa);
+            ErrorCode::Cpa
+        },
+        &|c| {
+            assert_remote(
+                c.detect(&pattern, options, &trace(1001)),
+                ErrorCode::TooManyCycles,
+            );
+            ErrorCode::TooManyCycles
+        },
+    ];
+    for fail in failures {
+        let code = fail(&mut client);
+        client
+            .ping()
+            .unwrap_or_else(|e| panic!("ping after {code:?}: {e}"));
+        let wire = client
+            .detect(&pattern, options, &y)
+            .unwrap_or_else(|e| panic!("detect after {code:?}: {e}"));
+        assert_eq!(wire.result.peak_rho.to_bits(), local.peak_rho.to_bits());
+        assert_eq!(wire.result.zscore.to_bits(), local.zscore.to_bits());
+        assert_eq!(wire.result, local);
+        assert_eq!(wire.cycles, y.len() as u64);
+    }
+    handle.shutdown();
+}
+
+/// Below one watermark period every wire mode refuses with `Cpa`, as
+/// the in-process detector does, instead of answering a verdict.
+#[test]
+fn every_mode_refuses_a_trace_shorter_than_one_period() {
+    let handle = start(quick_limits());
+    let pattern = pattern();
+    let short = trace(50);
+    let options = DetectOptions::default();
+    let detector = Detector::new(&pattern).expect("detector");
+    let seq = clockmark_cpa::SequentialOptions::default();
+    assert_eq!(
+        detector.detect_sequential(&short, seq).unwrap_err(),
+        clockmark_cpa::CpaError::TraceShorterThanPeriod {
+            have: 50,
+            need: pattern.len()
+        }
+    );
+    let candidates = [clockmark_cpa::CandidatePattern::new("p", pattern.clone())];
+
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    assert_remote(client.detect(&pattern, options, &short), ErrorCode::Cpa);
+    assert_remote(
+        client.detect_sequential(&pattern, options, seq, &short),
+        ErrorCode::Cpa,
+    );
+    assert_remote(
+        client.identify(&pattern, options, &candidates, &short),
+        ErrorCode::Cpa,
+    );
+    client.ping().expect("connection still in step");
+    handle.shutdown();
+}
+
 #[test]
 fn shutdown_during_in_flight_detect_drains_cleanly() {
     let handle = start(quick_limits());
@@ -296,6 +391,7 @@ fn shutdown_during_in_flight_detect_drains_cleanly() {
         pattern: pattern.clone(),
         algo: None,
         criterion: DetectionCriterion::default(),
+        mode: DetectMode::Fixed,
     }
     .encode();
     protocol::write_frame(&mut raw, ty, &payload).unwrap();
@@ -333,7 +429,7 @@ fn shutdown_during_in_flight_detect_drains_cleanly() {
     protocol::write_frame(&mut raw, ty, &payload).unwrap();
     let (ty, payload) = protocol::read_frame(&mut raw, 1 << 16).expect("result during drain");
     let wire = match Response::decode(ty, &payload).expect("decodes") {
-        Response::Detection(d) => d,
+        Response::Verdict(d) => d,
         other => panic!("expected detection, got {other:?}"),
     };
     let local = Detector::new(&pattern)

@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 
 use clockmark_cpa::{
-    CandidatePattern, CpaAlgo, DetectOptions, DetectionCriterion, SequentialOptions,
-    SequentialResult, TraceDetection,
+    CandidatePattern, CpaAlgo, DetectMode, DetectOptions, DetectionCriterion, SequentialOptions,
+    Verdict,
 };
 use clockmark_serve::{Client, ServeLimits, Server};
 
@@ -330,29 +330,8 @@ pub fn cmd_client_detect(
     options: ClientDetectOptions,
     sequential: Option<SequentialOptions>,
 ) -> Result<String, ToolError> {
-    let trace = tracefile::read_trace(trace_text)?;
-    let pattern = spec.pattern()?;
-    let mut client = connect(addr)?;
-    if options.traced {
-        client.enable_tracing();
-    }
-    let mut out = match sequential {
-        Some(seq) => {
-            let outcome = client.detect_sequential(
-                &pattern,
-                options.detect_options(),
-                seq,
-                trace.as_watts(),
-            )?;
-            render_sequential(&outcome, pattern.len())
-        }
-        None => {
-            let detection = client.detect(&pattern, options.detect_options(), trace.as_watts())?;
-            render_detection(&detection, pattern.len())
-        }
-    };
-    append_trace_line(&mut out, &client);
-    Ok(out)
+    let mode = sequential.map_or(DetectMode::Fixed, DetectMode::Sequential);
+    client_exchange(addr, trace_text, spec, options, mode)
 }
 
 /// `client identify`: stream a CSV trace once and rank candidate
@@ -369,54 +348,32 @@ pub fn cmd_client_identify(
     options: ClientDetectOptions,
     candidates: &[CandidatePattern],
 ) -> Result<String, ToolError> {
+    let mode = DetectMode::Identify(candidates.to_vec());
+    client_exchange(addr, trace_text, spec, options, mode)
+}
+
+/// Streams a CSV trace through one exchange in `mode` and renders the
+/// verdict.
+fn client_exchange(
+    addr: &str,
+    trace_text: &str,
+    spec: &PatternSpec,
+    options: ClientDetectOptions,
+    mode: DetectMode,
+) -> Result<String, ToolError> {
     let trace = tracefile::read_trace(trace_text)?;
     let pattern = spec.pattern()?;
     let mut client = connect(addr)?;
     if options.traced {
         client.enable_tracing();
     }
-    let identification = client.identify(
-        &pattern,
-        options.detect_options(),
-        candidates,
-        trace.as_watts(),
-    )?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "trace: {} cycles, pattern period {}, {} candidates",
-        identification.cycles,
-        pattern.len(),
-        identification.scores.len()
-    );
-    for (rank, score) in identification.scores.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{:>3}. {:<24} |rho| {:.6}  ratio {:.2}  zscore {:.2}{}",
-            rank + 1,
-            score.label,
-            score.result.peak_rho.abs(),
-            score.result.ratio,
-            score.result.zscore,
-            if score.result.detected {
-                "  DETECTED"
-            } else {
-                ""
-            }
-        );
-    }
-    let best = identification.best();
-    let _ = writeln!(
-        out,
-        "best: {} (candidate {}{})",
-        best.label,
-        best.index,
-        if best.result.detected {
-            ", passes the detection criterion"
-        } else {
-            ", below the detection criterion"
-        }
-    );
+    let render = match mode {
+        DetectMode::Fixed => render_detection,
+        DetectMode::Sequential(_) => render_sequential,
+        DetectMode::Identify(_) => render_identification,
+    };
+    let verdict = client.exchange(&pattern, options.detect_options(), mode, trace.as_watts())?;
+    let mut out = render(&verdict, pattern.len());
     append_trace_line(&mut out, &client);
     Ok(out)
 }
@@ -440,7 +397,7 @@ pub fn cmd_client_detect_corpus(
         client.enable_tracing();
     }
     let detection = client.detect_corpus(corpus, trace, &pattern, options.detect_options())?;
-    let mut out = render_detection(&detection, pattern.len());
+    let mut out = render_detection(&detection.into(), pattern.len());
     append_trace_line(&mut out, &client);
     Ok(out)
 }
@@ -500,23 +457,63 @@ fn connect(addr: &str) -> Result<Client, ToolError> {
     Ok(Client::connect(addr)?)
 }
 
-fn render_detection(detection: &TraceDetection, period: usize) -> String {
+fn render_detection(verdict: &Verdict, period: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "trace: {} cycles, pattern period {}",
-        detection.cycles, period
+        verdict.cycles, period
     );
-    let _ = writeln!(out, "{}", detection.result);
+    let _ = writeln!(out, "{}", verdict.result);
     out
 }
 
-fn render_sequential(outcome: &SequentialResult, period: usize) -> String {
+fn render_identification(verdict: &Verdict, period: usize) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "trace: {} cycles, pattern period {}, {} candidates",
+        verdict.cycles,
+        period,
+        verdict.scores.len()
+    );
+    for (rank, score) in verdict.scores.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "{:>3}. {:<24} |rho| {:.6}  ratio {:.2}  zscore {:.2}{}",
+            rank + 1,
+            score.label,
+            score.result.peak_rho.abs(),
+            score.result.ratio,
+            score.result.zscore,
+            if score.result.detected {
+                "  DETECTED"
+            } else {
+                ""
+            }
+        );
+    }
+    let best = &verdict.scores[0];
+    let _ = writeln!(
+        out,
+        "best: {} (candidate {}{})",
+        best.label,
+        best.index,
+        if best.result.detected {
+            ", passes the detection criterion"
+        } else {
+            ", below the detection criterion"
+        }
+    );
+    out
+}
+
+fn render_sequential(outcome: &Verdict, period: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "trace: {} cycles consumed, pattern period {}",
-        outcome.cycles_consumed, period
+        outcome.cycles, period
     );
     let _ = writeln!(out, "{}", outcome.result);
     let _ = writeln!(

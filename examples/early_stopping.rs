@@ -51,7 +51,7 @@ fn cycles_to_detect(words: u32, seed: u64) -> Result<Option<u64>, Box<dyn std::e
         let total = power.checked_add(&background)?;
         let measured = chain.acquire(&total, &mut rng);
         session.push_chunk(measured.as_watts());
-        if session.result().detected {
+        if session.finalize().result.detected {
             return Ok(Some(session.cycles()));
         }
     }
