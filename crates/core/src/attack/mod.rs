@@ -40,7 +40,6 @@ mod structural;
 mod transforms;
 
 pub use removal::{removal_attack, AttackReport, AttackVerdict};
-pub(crate) use spec::decode_seed;
 pub use spec::{AttackSpec, DefenseSpec, ScenarioSpec, SpecError};
 pub use structural::{apply_gate_disable, gate_disable_plan, GateDisablePlan};
 pub(crate) use transforms::residues;

@@ -4,11 +4,11 @@
 //! encodes as a small JSON object with a `kind` tag, and decodes
 //! *tolerantly* — unknown extra fields are ignored and missing parameter
 //! fields fall back to the variant's documented default, so a spec written
-//! by a newer build still drives an older one (and vice versa). That is
-//! the same forward/backward policy `campaign.json` already applies to the
-//! spectrum kernel and the sequential schedule.
+//! by a newer build still drives an older one (and vice versa), while an
+//! ill-typed value is an error: the one policy every persisted record
+//! decodes under (`docs/api.md`).
 
-use clockmark_obs::json::{self, Json};
+use clockmark_obs::json::{self, DecimalU64, DecodeError, FromJson, Json, Record};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -35,27 +35,17 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<DecodeError> for SpecError {
+    fn from(e: DecodeError) -> Self {
+        SpecError::new(e.to_string())
+    }
+}
+
 fn finite(name: &str, v: f64) -> Result<(), SpecError> {
     if v.is_finite() {
         Ok(())
     } else {
         Err(SpecError::new(format!("{name} must be finite, got {v}")))
-    }
-}
-
-/// Decodes a `seed` field. Seeds are written as decimal strings because
-/// the JSON model parses numbers as f64, which cannot represent a
-/// full-range u64 exactly; bare numbers (hand-written small seeds) are
-/// accepted too.
-pub(crate) fn decode_seed(value: &Json) -> Result<u64, SpecError> {
-    match value {
-        Json::String(s) => s
-            .parse::<u64>()
-            .map_err(|_| SpecError::new(format!("seed `{s}` is not a u64"))),
-        other => other
-            .as_f64()
-            .map(|v| v as u64)
-            .ok_or_else(|| SpecError::new("seed must be a u64 (string or number)")),
     }
 }
 
@@ -215,55 +205,15 @@ impl AttackSpec {
         out
     }
 
-    /// Decodes a spec from a parsed JSON value.
-    ///
-    /// Tolerant: unknown extra fields are ignored, and a known `kind`
-    /// missing parameter fields falls back to that variant's defaults —
-    /// the policy that lets spec files and `campaign.json` survive
-    /// version skew in either direction.
+    /// Parses a spec from JSON text, tolerantly (see the module docs): a
+    /// known `kind` missing parameter fields takes the variant's defaults.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] for a missing or unknown `kind`.
-    pub fn decode_value(value: &Json) -> Result<Self, SpecError> {
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("attack spec is missing string field `kind`"))?;
-        let num =
-            |key: &str, default: f64| value.get(key).and_then(Json::as_f64).unwrap_or(default);
-        Ok(match kind {
-            "none" => AttackSpec::None,
-            "clock_jitter" => AttackSpec::ClockJitter {
-                sigma_cycles: num("sigma_cycles", 2.0),
-            },
-            "dvfs" => AttackSpec::Dvfs {
-                dwell_cycles: num("dwell_cycles", 2_048.0) as u64,
-                max_shift: num("max_shift", 32.0) as u64,
-            },
-            "gate_disable" => AttackSpec::GateDisable {
-                fraction: num("fraction", 0.5),
-                estimate_cycles: num("estimate_cycles", 16_384.0) as u64,
-            },
-            "jamming" => AttackSpec::Jamming {
-                amplitude_watts: num("amplitude_watts", 1.5e-3),
-            },
-            "replay" => AttackSpec::Replay {
-                estimate_cycles: num("estimate_cycles", 16_384.0) as u64,
-                noise_watts: num("noise_watts", 0.045),
-            },
-            other => return Err(SpecError::new(format!("unknown attack kind `{other}`"))),
-        })
-    }
-
-    /// Parses a spec from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] for malformed JSON or an unknown `kind`.
+    /// [`SpecError`] for malformed JSON, a missing or unknown `kind`, or
+    /// an ill-typed parameter.
     pub fn decode(text: &str) -> Result<Self, SpecError> {
-        let value = json::parse(text).map_err(|e| SpecError::new(format!("invalid JSON: {e}")))?;
-        Self::decode_value(&value)
+        Ok(json::decode(text)?)
     }
 
     /// Checks every parameter is in range.
@@ -327,6 +277,34 @@ impl AttackSpec {
                 Ok(())
             }
         }
+    }
+}
+
+impl FromJson<'_> for AttackSpec {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
+        Ok(match f.req::<&str>("kind")? {
+            "none" => AttackSpec::None,
+            "clock_jitter" => AttackSpec::ClockJitter {
+                sigma_cycles: f.or("sigma_cycles", 2.0)?,
+            },
+            "dvfs" => AttackSpec::Dvfs {
+                dwell_cycles: f.or("dwell_cycles", 2_048)?,
+                max_shift: f.or("max_shift", 32)?,
+            },
+            "gate_disable" => AttackSpec::GateDisable {
+                fraction: f.or("fraction", 0.5)?,
+                estimate_cycles: f.or("estimate_cycles", 16_384)?,
+            },
+            "jamming" => AttackSpec::Jamming {
+                amplitude_watts: f.or("amplitude_watts", 1.5e-3)?,
+            },
+            "replay" => AttackSpec::Replay {
+                estimate_cycles: f.or("estimate_cycles", 16_384)?,
+                noise_watts: f.or("noise_watts", 0.045)?,
+            },
+            other => return Err(f.error("kind", format!("unknown attack kind `{other}`"))),
+        })
     }
 }
 
@@ -406,14 +384,11 @@ impl DefenseSpec {
         match self {
             DefenseSpec::None => out.push_str("{\"kind\":\"none\"}"),
             DefenseSpec::MultiWatermark { extra_widths } => {
-                out.push_str("{\"kind\":\"multi_watermark\",\"extra_widths\":[");
-                for (i, w) in extra_widths.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                out.push_str("{\"kind\":\"multi_watermark\",\"extra_widths\":");
+                json::write_list(out, extra_widths, |out, w| {
                     let _ = write!(out, "{w}");
-                }
-                out.push_str("]}");
+                });
+                out.push('}');
             }
             DefenseSpec::SeedHopping { dwell_cycles } => {
                 let _ = write!(
@@ -437,54 +412,15 @@ impl DefenseSpec {
         out
     }
 
-    /// Decodes a spec from a parsed JSON value (same tolerance policy as
-    /// [`AttackSpec::decode_value`]).
+    /// Parses a spec from JSON text (same tolerance policy as
+    /// [`AttackSpec::decode`]).
     ///
     /// # Errors
     ///
-    /// [`SpecError`] for a missing or unknown `kind`.
-    pub fn decode_value(value: &Json) -> Result<Self, SpecError> {
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("defense spec is missing string field `kind`"))?;
-        Ok(match kind {
-            "none" => DefenseSpec::None,
-            "multi_watermark" => {
-                let extra_widths = match value.get("extra_widths") {
-                    Some(Json::Array(items)) => items
-                        .iter()
-                        .filter_map(Json::as_f64)
-                        .map(|w| w as u32)
-                        .collect(),
-                    _ => vec![5, 7],
-                };
-                DefenseSpec::MultiWatermark { extra_widths }
-            }
-            "seed_hopping" => DefenseSpec::SeedHopping {
-                dwell_cycles: value
-                    .get("dwell_cycles")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(2_048.0) as u64,
-            },
-            "challenge_response" => DefenseSpec::ChallengeResponse {
-                phase_delta: value
-                    .get("phase_delta")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(17.0) as u64,
-            },
-            other => return Err(SpecError::new(format!("unknown defense kind `{other}`"))),
-        })
-    }
-
-    /// Parses a spec from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] for malformed JSON or an unknown `kind`.
+    /// [`SpecError`] for malformed JSON, a missing or unknown `kind`, or
+    /// an ill-typed parameter.
     pub fn decode(text: &str) -> Result<Self, SpecError> {
-        let value = json::parse(text).map_err(|e| SpecError::new(format!("invalid JSON: {e}")))?;
-        Self::decode_value(&value)
+        Ok(json::decode(text)?)
     }
 
     /// Checks every parameter is in range. Period-dependent constraints
@@ -528,6 +464,25 @@ impl DefenseSpec {
                 Ok(())
             }
         }
+    }
+}
+
+impl FromJson<'_> for DefenseSpec {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
+        Ok(match f.req::<&str>("kind")? {
+            "none" => DefenseSpec::None,
+            "multi_watermark" => DefenseSpec::MultiWatermark {
+                extra_widths: f.or("extra_widths", vec![5, 7])?,
+            },
+            "seed_hopping" => DefenseSpec::SeedHopping {
+                dwell_cycles: f.or("dwell_cycles", 2_048)?,
+            },
+            "challenge_response" => DefenseSpec::ChallengeResponse {
+                phase_delta: f.or("phase_delta", 17)?,
+            },
+            other => return Err(f.error("kind", format!("unknown defense kind `{other}`"))),
+        })
     }
 }
 
@@ -610,10 +565,9 @@ impl ScenarioSpec {
         json::write_f64(out, self.amplitude_watts);
         out.push_str(",\"noise_watts\":");
         json::write_f64(out, self.noise_watts);
-        // The seed is a full-range u64 (cell seeds are splitmix64 output),
-        // and the JSON model parses numbers as f64 — which silently drops
-        // the low bits past 2^53 and would de-synchronise every seeded
-        // draw on resume. A decimal string round-trips exactly.
+        // The seed is a full-range u64 (cell seeds are splitmix64 output).
+        // It stays a decimal string, the form every persisted spec uses;
+        // the reader takes that or an exact integer.
         let _ = write!(out, ",\"seed\":\"{}\"}}", self.seed);
     }
 
@@ -624,46 +578,16 @@ impl ScenarioSpec {
         out
     }
 
-    /// Decodes a spec from a parsed JSON value. Missing numeric fields
-    /// fall back to [`ScenarioSpec::default`]'s values; missing attack or
-    /// defense objects mean "none".
+    /// Parses a spec from JSON text. Missing numeric fields fall back
+    /// to [`ScenarioSpec::default`]'s values; missing attack or defense
+    /// objects mean "none".
     ///
     /// # Errors
     ///
-    /// [`SpecError`] for unknown attack/defense kinds.
-    pub fn decode_value(value: &Json) -> Result<Self, SpecError> {
-        let defaults = ScenarioSpec::default();
-        let attack = match value.get("attack") {
-            Some(v) => AttackSpec::decode_value(v)?,
-            None => AttackSpec::None,
-        };
-        let defense = match value.get("defense") {
-            Some(v) => DefenseSpec::decode_value(v)?,
-            None => DefenseSpec::None,
-        };
-        let num =
-            |key: &str, default: f64| value.get(key).and_then(Json::as_f64).unwrap_or(default);
-        Ok(ScenarioSpec {
-            attack,
-            defense,
-            snr: num("snr", defaults.snr),
-            amplitude_watts: num("amplitude_watts", defaults.amplitude_watts),
-            noise_watts: num("noise_watts", defaults.noise_watts),
-            seed: match value.get("seed") {
-                Some(v) => decode_seed(v)?,
-                None => 0,
-            },
-        })
-    }
-
-    /// Parses a spec from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] for malformed JSON or unknown kinds.
+    /// [`SpecError`] for malformed JSON, unknown attack/defense kinds, or
+    /// an ill-typed field.
     pub fn decode(text: &str) -> Result<Self, SpecError> {
-        let value = json::parse(text).map_err(|e| SpecError::new(format!("invalid JSON: {e}")))?;
-        Self::decode_value(&value)
+        Ok(json::decode(text)?)
     }
 
     /// Checks every parameter (and both sub-specs) is in range.
@@ -687,6 +611,21 @@ impl ScenarioSpec {
             return Err(SpecError::new("noise_watts must be >= 0"));
         }
         Ok(())
+    }
+}
+
+impl FromJson<'_> for ScenarioSpec {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
+        let defaults = ScenarioSpec::default();
+        Ok(ScenarioSpec {
+            attack: f.or("attack", defaults.attack)?,
+            defense: f.or("defense", defaults.defense)?,
+            snr: f.or("snr", defaults.snr)?,
+            amplitude_watts: f.or("amplitude_watts", defaults.amplitude_watts)?,
+            noise_watts: f.or("noise_watts", defaults.noise_watts)?,
+            seed: f.or("seed", DecimalU64(defaults.seed))?.0,
+        })
     }
 }
 

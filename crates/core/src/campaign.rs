@@ -48,7 +48,7 @@ use clockmark_cpa::{
     CpaAlgo, CpaError, DetectMode, DetectOptions, DetectionCriterion, DetectionResult, Detector,
     SequentialOptions, Session, StreamingCpaState,
 };
-use clockmark_obs::json::{self, Json};
+use clockmark_obs::json::{self, DecodeError, FromJson, Json, Record};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
@@ -165,6 +165,12 @@ impl From<CpaError> for CampaignError {
     }
 }
 
+impl From<DecodeError> for CampaignError {
+    fn from(e: DecodeError) -> Self {
+        CampaignError::spec(e.to_string())
+    }
+}
+
 /// The largest `chunk_cycles` a spec may ask for: 16 Mi cycles, a 128 MiB
 /// read buffer per worker. Each job allocates its chunk up front, so an
 /// unbounded value from a hand-edited `campaign.json` or a fleet
@@ -264,20 +270,8 @@ impl CampaignSpec {
     /// Serialises the spec as one JSON object.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"corpus\":");
-        json::write_str(&mut out, &self.corpus.to_string_lossy());
-        out.push_str(",\"pattern\":\"");
-        for &bit in &self.pattern {
-            out.push(if bit { '1' } else { '0' });
-        }
-        out.push_str("\",\"traces\":[");
-        for (i, trace) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, trace);
-        }
-        out.push_str("],\"min_peak_ratio\":");
+        encode_head(&mut out, &self.corpus, &self.pattern, &self.traces);
+        out.push_str(",\"min_peak_ratio\":");
         json::write_f64(&mut out, self.criterion.min_peak_ratio);
         out.push_str(",\"min_zscore\":");
         json::write_f64(&mut out, self.criterion.min_zscore);
@@ -320,97 +314,13 @@ impl CampaignSpec {
     /// Returns [`CampaignError::Spec`] for malformed JSON or
     /// missing/ill-typed fields.
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
-        let value =
-            json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| CampaignError::spec(format!("missing string field `{key}`")))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| CampaignError::spec(format!("missing numeric field `{key}`")))
-        };
-        let pattern = str_field("pattern")?
-            .chars()
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(CampaignError::spec(format!(
-                    "pattern contains `{other}`; only 0/1 allowed"
-                ))),
-            })
-            .collect::<Result<Vec<bool>, _>>()?;
-        let traces = match value.get("traces") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| CampaignError::spec("non-string trace name".to_owned()))
-                })
-                .collect::<Result<Vec<String>, _>>()?,
-            _ => return Err(CampaignError::spec("missing array field `traces`")),
-        };
-        // Specs written before the kernel was recorded lack the field;
-        // resolve those from the pattern heuristic, never from the
-        // resuming environment (the environment at *creation* decided).
-        let algo = value
-            .get("algo")
-            .and_then(Json::as_str)
-            .and_then(CpaAlgo::parse)
-            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&pattern));
-        // Specs written before sequential campaigns existed lack the
-        // object; those campaigns keep running fixed-budget jobs.
-        let sequential = match value.get("sequential") {
-            None => None,
-            Some(seq) => {
-                let seq_num = |key: &str| {
-                    seq.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                        CampaignError::spec(format!("missing numeric field `sequential.{key}`"))
-                    })
-                };
-                Some(SequentialOptions {
-                    base_cycles: seq_num("base_cycles")? as u64,
-                    growth: seq_num("growth")?,
-                    confidence: seq.get("confidence").and_then(Json::as_f64),
-                    min_cycles: seq_num("min_cycles")? as u64,
-                    max_cycles: seq
-                        .get("max_cycles")
-                        .and_then(Json::as_f64)
-                        .map(|v| v as u64),
-                })
-            }
-        };
-        // Specs written before scenarios existed lack the object; those
-        // campaigns keep running plain detection jobs.
-        let scenario = match value.get("scenario") {
-            None => None,
-            Some(s) => {
-                Some(ScenarioSpec::decode_value(s).map_err(|e| CampaignError::spec(e.message))?)
-            }
-        };
-        Ok(CampaignSpec {
-            corpus: PathBuf::from(str_field("corpus")?),
-            pattern,
-            traces,
-            criterion: DetectionCriterion {
-                min_peak_ratio: num_field("min_peak_ratio")?,
-                min_zscore: num_field("min_zscore")?,
-            },
-            checkpoint_cycles: num_field("checkpoint_cycles")? as u64,
-            chunk_cycles: num_field("chunk_cycles")? as usize,
-            algo,
-            sequential,
-            scenario,
-        })
+        Ok(json::decode(text)?)
     }
 
     /// Validates the spec: a usable pattern, at least one trace, no
-    /// duplicate trace names, a read chunk of at most 2^24 cycles.
+    /// duplicate trace names, a read chunk of at most 2^24 cycles, and
+    /// finite criterion and schedule numbers (a non-finite one would be
+    /// persisted as `null`, and the campaign could never be reopened).
     ///
     /// # Errors
     ///
@@ -428,6 +338,18 @@ impl CampaignSpec {
             }
         }
         check_chunk_cycles(self.chunk_cycles)?;
+        let seq = self.sequential.unwrap_or_default();
+        let numbers = [
+            ("min_peak_ratio", self.criterion.min_peak_ratio),
+            ("min_zscore", self.criterion.min_zscore),
+            ("sequential.growth", seq.growth),
+            ("sequential.confidence", seq.confidence.unwrap_or(0.0)),
+        ];
+        if let Some((name, v)) = numbers.into_iter().find(|(_, v)| !v.is_finite()) {
+            return Err(CampaignError::spec(format!(
+                "{name} must be finite, got {v}"
+            )));
+        }
         if let Some(scenario) = &self.scenario {
             scenario
                 .validate()
@@ -442,6 +364,85 @@ impl CampaignSpec {
         }
         Ok(())
     }
+}
+
+impl FromJson<'_> for CampaignSpec {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
+        let (corpus, pattern, traces) = decode_head(&f)?;
+        // Specs written before the kernel was recorded lack the field;
+        // resolve those from the pattern heuristic, never from the
+        // resuming environment (the environment at *creation* decided).
+        let algo = algo_field(&f)?.unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&pattern));
+        // Specs written before sequential campaigns existed lack the
+        // object; those campaigns keep running fixed-budget jobs.
+        let sequential = match f.opt::<Record>("sequential")? {
+            None => None,
+            Some(seq) => Some(SequentialOptions {
+                base_cycles: seq.req("base_cycles")?,
+                growth: seq.req("growth")?,
+                confidence: seq.opt("confidence")?,
+                min_cycles: seq.req("min_cycles")?,
+                max_cycles: seq.opt("max_cycles")?,
+            }),
+        };
+        Ok(CampaignSpec {
+            corpus,
+            pattern,
+            traces,
+            criterion: DetectionCriterion {
+                min_peak_ratio: f.req("min_peak_ratio")?,
+                min_zscore: f.req("min_zscore")?,
+            },
+            checkpoint_cycles: f.req("checkpoint_cycles")?,
+            chunk_cycles: f.req("chunk_cycles")?,
+            algo,
+            sequential,
+            // Specs written before scenarios existed lack the object;
+            // those campaigns keep running plain detection jobs.
+            scenario: f.opt("scenario")?,
+        })
+    }
+}
+
+/// Writes the head a campaign spec and a scenario matrix both open with:
+/// `{"corpus":…,"pattern":"0110…","traces":[…]`.
+pub(crate) fn encode_head(out: &mut String, corpus: &Path, pattern: &[bool], traces: &[String]) {
+    out.push_str("{\"corpus\":");
+    json::write_str(out, &corpus.to_string_lossy());
+    out.push_str(",\"pattern\":\"");
+    out.extend(pattern.iter().map(|&bit| if bit { '1' } else { '0' }));
+    out.push_str("\",\"traces\":");
+    json::write_list(out, traces, |out, trace| json::write_str(out, trace));
+}
+
+/// Reads what [`encode_head`] writes: corpus, pattern bits, trace names.
+pub(crate) fn decode_head(f: &Record) -> Result<(PathBuf, Vec<bool>, Vec<String>), DecodeError> {
+    let pattern = f
+        .req::<&str>("pattern")?
+        .chars()
+        .map(|c| match c {
+            '0' => Ok(false),
+            '1' => Ok(true),
+            other => Err(f.error("pattern", format!("contains `{other}`; only 0/1 allowed"))),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((
+        PathBuf::from(f.req::<&str>("corpus")?),
+        pattern,
+        f.req("traces")?,
+    ))
+}
+
+/// The `algo` field, `None` when absent; an unknown kernel is an error,
+/// never a silent fallback.
+pub(crate) fn algo_field(f: &Record) -> Result<Option<CpaAlgo>, DecodeError> {
+    f.opt::<&str>("algo")?
+        .map(|name| {
+            CpaAlgo::parse(name)
+                .ok_or_else(|| f.error("algo", format!("unknown spectrum kernel `{name}`")))
+        })
+        .transpose()
 }
 
 /// One unit of campaign work: run detection over one stored trace.
@@ -499,34 +500,24 @@ impl JobOutcome {
     /// Returns [`CampaignError::Spec`] for malformed JSON or
     /// missing/ill-typed fields.
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
-        let value =
-            json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| CampaignError::spec(format!("missing numeric field `{key}`")))
-        };
-        let detected = match value.get("detected") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(CampaignError::spec("missing boolean field `detected`")),
-        };
-        let trace = value
-            .get("trace")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CampaignError::spec("missing string field `trace`"))?
-            .to_owned();
+        Ok(json::decode(text)?)
+    }
+}
+
+impl FromJson<'_> for JobOutcome {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
         Ok(JobOutcome {
-            index: num_field("index")? as usize,
-            trace,
-            cycles: num_field("cycles")? as u64,
+            index: f.req("index")?,
+            trace: f.req("trace")?,
+            cycles: f.req("cycles")?,
             result: DetectionResult {
-                detected,
-                peak_rotation: num_field("peak_rotation")? as usize,
-                peak_rho: num_field("peak_rho")?,
-                floor_max_abs: num_field("floor_max_abs")?,
-                ratio: num_field("ratio")?,
-                zscore: num_field("zscore")?,
+                detected: f.req("detected")?,
+                peak_rotation: f.req("peak_rotation")?,
+                peak_rho: f.req("peak_rho")?,
+                floor_max_abs: f.req("floor_max_abs")?,
+                ratio: f.req("ratio")?,
+                zscore: f.req("zscore")?,
             },
         })
     }
@@ -617,18 +608,13 @@ impl CampaignReport {
         let mut out = String::with_capacity(64 + self.outcomes.len() * 160);
         let _ = write!(
             out,
-            "{{\"total\":{},\"detected\":{},\"algo\":\"{}\",\"jobs\":[",
+            "{{\"total\":{},\"detected\":{},\"algo\":\"{}\",\"jobs\":",
             self.outcomes.len(),
             self.detected(),
             self.algo.as_str()
         );
-        for (i, outcome) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&outcome.encode());
-        }
-        out.push_str("]}");
+        json::write_list(&mut out, &self.outcomes, |out, o| out.push_str(&o.encode()));
+        out.push('}');
         out
     }
 }
@@ -1249,16 +1235,21 @@ impl CampaignProgress {
     /// indistinguishable from garbage, and both just mean "no live
     /// progress to show").
     pub fn decode(text: &str) -> Option<Self> {
-        let v = json::parse(text.trim()).ok()?;
-        let num = |k: &str| v.get(k).and_then(Json::as_f64);
-        Some(CampaignProgress {
-            done: num("done")? as u64,
-            total: num("total")? as u64,
-            cycles: num("cycles")? as u64,
-            cycles_per_sec: num("cycles_per_sec")?,
-            jobs_per_sec: num("jobs_per_sec")?,
-            eta_seconds: num("eta_seconds")?,
-            elapsed_ms: num("elapsed_ms")? as u64,
+        json::decode(text).ok()
+    }
+}
+
+impl FromJson<'_> for CampaignProgress {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
+        Ok(CampaignProgress {
+            done: f.req("done")?,
+            total: f.req("total")?,
+            cycles: f.req("cycles")?,
+            cycles_per_sec: f.req("cycles_per_sec")?,
+            jobs_per_sec: f.req("jobs_per_sec")?,
+            eta_seconds: f.req("eta_seconds")?,
+            elapsed_ms: f.req("elapsed_ms")?,
         })
     }
 }
@@ -1864,22 +1855,57 @@ mod tests {
             spec.chunk_cycles = chunk;
             spec.validate().expect("in range");
         }
-        // 1e13 decodes exactly; 1e30 saturates to usize::MAX.
-        for hostile in ["10000000000000", "1e30"] {
-            let text = spec.encode().replace(
+        // 1e13 decodes exactly; 1e30 is not a usize integer, so the
+        // decode itself refuses it.
+        let with_chunk = |chunk: &str| {
+            spec.encode().replace(
                 &format!("\"chunk_cycles\":{MAX_CHUNK_CYCLES}"),
-                &format!("\"chunk_cycles\":{hostile}"),
-            );
-            let decoded = CampaignSpec::decode(&text).expect("decodes");
-            assert!(decoded.chunk_cycles > MAX_CHUNK_CYCLES, "{hostile}");
-            let err = Campaign::create(dir.0.join(hostile), decoded).unwrap_err();
+                &format!("\"chunk_cycles\":{chunk}"),
+            )
+        };
+        let err = CampaignSpec::decode(&with_chunk("1e30")).unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::Spec { message } if message.contains("chunk_cycles")),
+            "1e30: {err}"
+        );
+        let hostile = "10000000000000";
+        let text = with_chunk(hostile);
+        let decoded = CampaignSpec::decode(&text).expect("decodes");
+        assert!(decoded.chunk_cycles > MAX_CHUNK_CYCLES, "{hostile}");
+        let err = Campaign::create(dir.0.join(hostile), decoded).unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::Spec { message } if message.contains("chunk_cycles")),
+            "{hostile}: {err}"
+        );
+        // A campaign.json edited after creation fails to open.
+        fs::write(campaign_dir.join("campaign.json"), &text).expect("edits");
+        assert!(Campaign::open(&campaign_dir).is_err(), "{hostile}");
+
+        // A non-finite criterion or schedule number would be persisted
+        // as `null`, and the campaign could never be reopened.
+        spec.chunk_cycles = 256;
+        let seq = SequentialOptions::default();
+        let mut bad = [
+            spec.clone(),
+            spec.clone(),
+            spec.clone().with_sequential(seq.with_growth(f64::NAN)),
+            spec.clone()
+                .with_sequential(seq.with_confidence(f64::NEG_INFINITY)),
+        ];
+        bad[0].criterion.min_peak_ratio = f64::NAN;
+        bad[1].criterion.min_zscore = f64::INFINITY;
+        let fields = [
+            "min_peak_ratio",
+            "min_zscore",
+            "sequential.growth",
+            "sequential.confidence",
+        ];
+        for (field, bad) in fields.into_iter().zip(bad) {
+            let err = Campaign::create(dir.0.join(field), bad).unwrap_err();
             assert!(
-                matches!(&err, CampaignError::Spec { message } if message.contains("chunk_cycles")),
-                "{hostile}: {err}"
+                matches!(&err, CampaignError::Spec { message } if message.contains(field)),
+                "{field}: {err}"
             );
-            // A campaign.json edited after creation fails to open.
-            fs::write(campaign_dir.join("campaign.json"), &text).expect("edits");
-            assert!(Campaign::open(&campaign_dir).is_err(), "{hostile}");
         }
     }
 

@@ -47,13 +47,13 @@ use crate::attack::{
     hash_gaussian, mix_seed, residues, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
 };
 use crate::campaign::{
-    check_chunk_cycles, write_atomic, Campaign, CampaignError, CampaignLimits, CampaignReport,
-    CampaignSpec,
+    algo_field, check_chunk_cycles, decode_head, encode_head, write_atomic, Campaign,
+    CampaignError, CampaignLimits, CampaignReport, CampaignSpec,
 };
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
 };
-use clockmark_obs::json::{self, Json};
+use clockmark_obs::json::{self, DecimalU64, DecodeError, FromJson, Json, Record};
 use clockmark_seq::{Lfsr, SequenceGenerator};
 use std::fmt::Write as _;
 use std::fs;
@@ -132,46 +132,18 @@ impl ScenarioMatrix {
     /// Serialises the matrix as one JSON object.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\"corpus\":");
-        json::write_str(&mut out, &self.corpus.to_string_lossy());
-        out.push_str(",\"pattern\":\"");
-        for &bit in &self.pattern {
-            out.push(if bit { '1' } else { '0' });
-        }
-        out.push_str("\",\"traces\":[");
-        for (i, trace) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, trace);
-        }
-        out.push_str("],\"attacks\":[");
-        for (i, attack) in self.attacks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            attack.encode_into(&mut out);
-        }
-        out.push_str("],\"defenses\":[");
-        for (i, defense) in self.defenses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            defense.encode_into(&mut out);
-        }
-        out.push_str("],\"snrs\":[");
-        for (i, snr) in self.snrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_f64(&mut out, *snr);
-        }
-        out.push_str("],\"amplitude_watts\":");
+        encode_head(&mut out, &self.corpus, &self.pattern, &self.traces);
+        out.push_str(",\"attacks\":");
+        json::write_list(&mut out, &self.attacks, |out, a| a.encode_into(out));
+        out.push_str(",\"defenses\":");
+        json::write_list(&mut out, &self.defenses, |out, d| d.encode_into(out));
+        out.push_str(",\"snrs\":");
+        json::write_list(&mut out, &self.snrs, |out, &snr| json::write_f64(out, snr));
+        out.push_str(",\"amplitude_watts\":");
         json::write_f64(&mut out, self.amplitude_watts);
         out.push_str(",\"noise_watts\":");
         json::write_f64(&mut out, self.noise_watts);
-        // As in [`ScenarioSpec`]: a decimal string, because the JSON
-        // model's f64 numbers cannot hold a full-range u64 exactly.
+        // As in [`ScenarioSpec`]: a decimal string, the persisted form.
         let _ = write!(out, ",\"seed\":\"{}\"", self.seed);
         out.push_str(",\"min_peak_ratio\":");
         json::write_f64(&mut out, self.criterion.min_peak_ratio);
@@ -195,83 +167,10 @@ impl ScenarioMatrix {
     /// # Errors
     ///
     /// Returns [`CampaignError::Spec`] for malformed JSON, missing
-    /// required fields, or unknown attack/defense kinds.
+    /// required fields, unknown attack/defense kinds or kernels, or an
+    /// ill-typed field.
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
-        let value =
-            json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| CampaignError::spec(format!("missing string field `{key}`")))
-        };
-        let pattern = str_field("pattern")?
-            .chars()
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(CampaignError::spec(format!(
-                    "pattern contains `{other}`; only 0/1 allowed"
-                ))),
-            })
-            .collect::<Result<Vec<bool>, _>>()?;
-        let traces = match value.get("traces") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| CampaignError::spec("non-string trace name".to_owned()))
-                })
-                .collect::<Result<Vec<String>, _>>()?,
-            _ => return Err(CampaignError::spec("missing array field `traces`")),
-        };
-        let mut matrix = ScenarioMatrix::new(PathBuf::from(str_field("corpus")?), pattern, traces);
-        if let Some(Json::Array(items)) = value.get("attacks") {
-            matrix.attacks = items
-                .iter()
-                .map(AttackSpec::decode_value)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| CampaignError::spec(e.message))?;
-        }
-        if let Some(Json::Array(items)) = value.get("defenses") {
-            matrix.defenses = items
-                .iter()
-                .map(DefenseSpec::decode_value)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| CampaignError::spec(e.message))?;
-        }
-        if let Some(Json::Array(items)) = value.get("snrs") {
-            matrix.snrs = items.iter().filter_map(Json::as_f64).collect();
-        }
-        let num = |key: &str| value.get(key).and_then(Json::as_f64);
-        if let Some(v) = num("amplitude_watts") {
-            matrix.amplitude_watts = v;
-        }
-        if let Some(v) = num("noise_watts") {
-            matrix.noise_watts = v;
-        }
-        if let Some(v) = value.get("seed") {
-            matrix.seed =
-                crate::attack::decode_seed(v).map_err(|e| CampaignError::spec(e.message))?;
-        }
-        if let Some(v) = num("min_peak_ratio") {
-            matrix.criterion.min_peak_ratio = v;
-        }
-        if let Some(v) = num("min_zscore") {
-            matrix.criterion.min_zscore = v;
-        }
-        if let Some(v) = num("checkpoint_cycles") {
-            matrix.checkpoint_cycles = v as u64;
-        }
-        if let Some(v) = num("chunk_cycles") {
-            matrix.chunk_cycles = v as usize;
-        }
-        if let Some(algo) = value.get("algo").and_then(Json::as_str) {
-            matrix.algo = CpaAlgo::parse(algo)
-                .ok_or_else(|| CampaignError::spec(format!("unknown algo `{algo}`")))?;
-        }
-        Ok(matrix)
+        Ok(json::decode(text)?)
     }
 
     /// Validates the matrix: usable pattern and traces, non-empty axes,
@@ -340,6 +239,30 @@ impl ScenarioMatrix {
             }
         }
         cells
+    }
+}
+
+impl FromJson<'_> for ScenarioMatrix {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
+        let (corpus, pattern, traces) = decode_head(&f)?;
+        let defaults = ScenarioMatrix::new(corpus, pattern, traces);
+        Ok(ScenarioMatrix {
+            attacks: f.or("attacks", defaults.attacks)?,
+            defenses: f.or("defenses", defaults.defenses)?,
+            snrs: f.or("snrs", defaults.snrs)?,
+            amplitude_watts: f.or("amplitude_watts", defaults.amplitude_watts)?,
+            noise_watts: f.or("noise_watts", defaults.noise_watts)?,
+            seed: f.or("seed", DecimalU64(defaults.seed))?.0,
+            criterion: DetectionCriterion {
+                min_peak_ratio: f.or("min_peak_ratio", defaults.criterion.min_peak_ratio)?,
+                min_zscore: f.or("min_zscore", defaults.criterion.min_zscore)?,
+            },
+            checkpoint_cycles: f.or("checkpoint_cycles", defaults.checkpoint_cycles)?,
+            chunk_cycles: f.or("chunk_cycles", defaults.chunk_cycles)?,
+            algo: algo_field(&f)?.unwrap_or(defaults.algo),
+            ..defaults
+        })
     }
 }
 
@@ -435,33 +358,30 @@ impl ScenarioReport {
         let jobs: usize = self.cells.iter().map(|c| c.total).sum();
         let _ = write!(
             out,
-            "{{\"cells\":{},\"jobs\":{},\"algo\":\"{}\",\"results\":[",
+            "{{\"cells\":{},\"jobs\":{},\"algo\":\"{}\",\"results\":",
             self.cells.len(),
             jobs,
             self.algo.as_str()
         );
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        json::write_list(&mut out, &self.cells, |out, cell| {
             out.push_str("{\"cell\":");
-            json::write_str(&mut out, &cell.cell);
+            json::write_str(out, &cell.cell);
             out.push_str(",\"attack\":");
-            json::write_str(&mut out, &cell.attack);
+            json::write_str(out, &cell.attack);
             out.push_str(",\"defense\":");
-            json::write_str(&mut out, &cell.defense);
+            json::write_str(out, &cell.defense);
             out.push_str(",\"snr\":");
-            json::write_f64(&mut out, cell.snr);
+            json::write_f64(out, cell.snr);
             let _ = write!(
                 out,
                 ",\"total\":{},\"detected\":{}",
                 cell.total, cell.detected
             );
             out.push_str(",\"rate\":");
-            json::write_f64(&mut out, cell.rate());
+            json::write_f64(out, cell.rate());
             out.push('}');
-        }
-        out.push_str("]}");
+        });
+        out.push('}');
         out
     }
 

@@ -5,11 +5,13 @@
 //! observe a half-written index, and a crash mid-update leaves the old
 //! manifest intact.
 //!
-//! `seed` is serialised as a decimal *string* because JSON numbers travel
-//! as `f64` and a 64-bit seed must survive bit-exactly.
+//! `seed` is serialised as a decimal *string*, the form every manifest
+//! has used; the reader also takes an exact integer. Every field decodes
+//! under the one policy of [`clockmark_obs::json::Record`] (see
+//! `docs/api.md`).
 
 use crate::{CorpusError, TraceHeader};
-use clockmark_obs::json::{self, Json};
+use clockmark_obs::json::{self, DecimalU64, DecodeError, FromJson, Json, Record};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -92,58 +94,26 @@ impl ManifestEntry {
     /// Returns [`CorpusError::Manifest`] naming the 1-based `line` for
     /// malformed JSON or missing/ill-typed fields.
     pub fn decode(text: &str, line: usize) -> Result<Self, CorpusError> {
-        let bad = |message: String| CorpusError::Manifest { line, message };
-        let value = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| bad(format!("missing string field `{key}`")))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad(format!("missing numeric field `{key}`")))
-        };
-        // JSON numbers travel as f64, so every integer field must be
-        // checked for integrality and range instead of being narrowed
-        // with `as`, which silently saturates: a tampered manifest would
-        // otherwise round-trip to a *different* value and mis-verify.
-        let int_field = |key: &str, max: u64| -> Result<u64, CorpusError> {
-            let raw = num_field(key)?;
-            if raw.fract() != 0.0 || !raw.is_finite() {
-                return Err(bad(format!("field `{key}` is not an integer: {raw}")));
-            }
-            if raw < 0.0 || raw > max as f64 {
-                return Err(bad(format!("field `{key}` is out of range: {raw}")));
-            }
-            // Past 2^53 an f64 cannot represent every integer, so a
-            // value that survived the range check could still be an
-            // approximation of what was written. Such sizes are far
-            // beyond any real trace; refuse rather than guess.
-            const EXACT_MAX: f64 = 9_007_199_254_740_992.0; // 2^53
-            if raw > EXACT_MAX {
-                return Err(bad(format!(
-                    "field `{key}` exceeds the exact-integer range of JSON: {raw}"
-                )));
-            }
-            Ok(raw as u64)
-        };
-        let seed: u64 = str_field("seed")?
-            .parse()
-            .map_err(|_| bad("`seed` is not a u64 string".to_owned()))?;
+        json::decode(text).map_err(|e| CorpusError::Manifest {
+            line,
+            message: e.to_string(),
+        })
+    }
+}
+
+impl FromJson<'_> for ManifestEntry {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let f = Record::from_json(value, path)?;
         Ok(ManifestEntry {
-            name: str_field("name")?,
-            file: str_field("file")?,
-            cycles: int_field("cycles", u64::MAX)?,
-            bytes: int_field("bytes", u64::MAX)?,
-            crc32: int_field("crc32", u32::MAX as u64)? as u32,
-            version: int_field("version", u16::MAX as u64)? as u16,
-            f_clk_hz: num_field("f_clk_hz")?,
-            seed,
-            source: int_field("source", u32::MAX as u64)? as u32,
+            name: f.req("name")?,
+            file: f.req("file")?,
+            cycles: f.req("cycles")?,
+            bytes: f.req("bytes")?,
+            crc32: f.req("crc32")?,
+            version: f.req("version")?,
+            f_clk_hz: f.req("f_clk_hz")?,
+            seed: f.req::<DecimalU64>("seed")?.0,
+            source: f.req("source")?,
         })
     }
 }

@@ -320,16 +320,21 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// Returns [`CorpusError::UnknownTrace`] for an unindexed name and
-    /// [`CorpusError::Io`] / [`CorpusError::Format`] for open failures.
+    /// Returns [`CorpusError::UnknownTrace`] for an unindexed name,
+    /// [`CorpusError::Io`] on open failure, and [`CorpusError::Format`]
+    /// for a malformed header or one declaring more samples than the file
+    /// holds (a corrupt or forged header must not drive an allocation).
     pub fn reader(&self, name: &str) -> Result<TraceReader<BufReader<File>>, CorpusError> {
         let entry = self.entry(name).ok_or_else(|| CorpusError::UnknownTrace {
             name: name.to_owned(),
         })?;
         let path = self.trace_path(&entry.file);
-        let file = File::open(&path)
-            .map_err(|e| CorpusError::io(format!("opening {}", path.display()), e))?;
-        TraceReader::new(BufReader::new(file))
+        let opened = File::open(&path).and_then(|file| Ok((file.metadata()?.len(), file)));
+        let (len, file) =
+            opened.map_err(|e| CorpusError::io(format!("opening {}", path.display()), e))?;
+        let reader = TraceReader::new(BufReader::new(file))?;
+        crate::format::check_declared_size(reader.header(), len)?;
+        Ok(reader)
     }
 
     /// Opens the fastest available streaming reader over one stored
@@ -368,20 +373,9 @@ impl Corpus {
     /// # Errors
     ///
     /// Same conditions as [`Corpus::reader`], plus
-    /// [`CorpusError::Corrupt`] on a CRC mismatch and
-    /// [`CorpusError::Format`] when the on-disk header declares more
-    /// samples than the file actually holds (a corrupt or forged header
-    /// must not drive the allocation).
+    /// [`CorpusError::Corrupt`] on a CRC mismatch.
     pub fn read_all(&self, name: &str) -> Result<(TraceHeader, Vec<f64>), CorpusError> {
-        let entry = self.entry(name).ok_or_else(|| CorpusError::UnknownTrace {
-            name: name.to_owned(),
-        })?;
-        let path = self.trace_path(&entry.file);
-        let actual_len = fs::metadata(&path)
-            .map_err(|e| CorpusError::io(format!("stat {}", path.display()), e))?
-            .len();
         let mut reader = self.reader(name)?;
-        crate::format::check_declared_size(reader.header(), actual_len)?;
         let mut watts = vec![0.0f64; reader.header().cycles as usize];
         let mut filled = 0;
         while filled < watts.len() {

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::FleetError;
 use crate::hash::Ring;
-use crate::plan::{shard_dir, shard_spec, FleetPlan};
+use crate::plan::{shard_dir, shard_spec, FleetPlan, ShardPlan};
 use clockmark::{Campaign, CampaignProgress, CampaignSpec, JobOutcome};
 use clockmark_corpus::Corpus;
 use clockmark_serve::{Backoff, Client, WorkerHeartbeat};
@@ -433,15 +433,21 @@ fn work_loop(
             .and_then(|c| c.shard_assign(wire).map_err(|e| e.to_string()));
         match outcome {
             Ok((returned_shard, complete, outcomes)) => {
+                let answered = returned_shard == shard_id && answers_shard(&outcomes, shard);
                 let mut state = scheduler.lock();
-                state.running.remove(worker);
-                if returned_shard != shard_id {
-                    // A worker answering for the wrong shard is not a
-                    // peer we can schedule against.
+                if !answered {
+                    // A worker answering for the wrong shard, or with
+                    // lines that are not the shard's outcomes, is not a
+                    // peer we can schedule against; burying it requeues
+                    // the shard it was running.
+                    clockmark_obs::suppressed(|| {
+                        eprintln!("fleet: worker {worker} lost: bad answer for shard {shard_id}");
+                    });
                     state.bury(worker);
                     scheduler.wake.notify_all();
                     continue;
                 }
+                state.running.remove(worker);
                 merge_outcomes(&outcomes, &mut state, results);
                 if state.done.contains(&shard_id) {
                     // Another worker finished our shard while a
@@ -481,6 +487,15 @@ fn work_loop(
 /// want.
 fn config_dir(config: &FleetConfig) -> &Path {
     &config.dir
+}
+
+/// Whether every outcome line of a worker's answer decodes and names one
+/// of `shard`'s jobs. Anything else is a protocol fault, not data.
+fn answers_shard(outcomes: &str, shard: &ShardPlan) -> bool {
+    outcomes.lines().all(|line| {
+        JobOutcome::decode(line)
+            .is_ok_and(|outcome| shard.jobs.iter().any(|(index, _)| *index == outcome.index))
+    })
 }
 
 /// Appends not-yet-landed outcome lines to the merged `results.jsonl`.

@@ -8,18 +8,23 @@
 //!    requeued and drained to the same bytes;
 //! 4. specs a shard cannot reproduce are refused: a non-identity
 //!    scenario by the coordinator, a wire spec that disagrees with the
-//!    shard directory by the worker.
+//!    shard directory by the worker;
+//! 5. a worker whose answer holds lines that are not its shard's
+//!    outcomes is buried, and its shard stays pending.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clockmark::{Campaign, CampaignLimits, CampaignSpec, ScenarioSpec};
+use clockmark::{Campaign, CampaignLimits, CampaignSpec, JobOutcome, ScenarioSpec};
 use clockmark_corpus::{Corpus, TraceHeader};
 use clockmark_cpa::SequentialOptions;
 use clockmark_fleet::{run_fleet, FleetConfig, FleetError, ShardWorker};
-use clockmark_serve::{ErrorCode, FleetService, ServeLimits, Server, ServerHandle, ShardSpec};
+use clockmark_serve::{
+    ErrorCode, FleetService, ServeLimits, Server, ServerHandle, ShardOutcome, ShardSpec,
+    WorkerHeartbeat,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -288,4 +293,60 @@ fn interrupted_assignments_drain_to_the_same_bytes() {
         "checkpoint-interrupted shards still merge to identical bytes"
     );
     worker.shutdown();
+}
+
+/// A fleet worker that claims every shard complete and answers with
+/// fixed outcome lines, whatever the shard holds.
+struct FixedAnswer(String);
+
+impl FleetService for FixedAnswer {
+    fn assign(&self, spec: &ShardSpec) -> Result<ShardOutcome, (ErrorCode, String)> {
+        Ok(ShardOutcome {
+            shard_id: spec.shard_id,
+            complete: true,
+            outcomes: self.0.clone(),
+        })
+    }
+
+    fn heartbeat(&self) -> WorkerHeartbeat {
+        WorkerHeartbeat::default()
+    }
+}
+
+#[test]
+fn an_answer_that_is_not_the_shards_outcomes_buries_the_worker() {
+    let dir = TempDir::new("bad_answer");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 2, 1_000);
+    let foreign = JobOutcome {
+        index: spec.traces.len() + 7,
+        trace: "foreign".to_owned(),
+        cycles: 1_000,
+        result: clockmark_cpa::DetectionResult {
+            detected: false,
+            peak_rotation: 0,
+            peak_rho: 0.0,
+            floor_max_abs: 0.0,
+            ratio: 0.0,
+            zscore: 0.0,
+        },
+    };
+    for (tag, answer) in [
+        ("garbled", "{\"index\":0,\"trace\":".to_owned()),
+        ("foreign", foreign.encode()),
+    ] {
+        let worker = Server::new()
+            .with_fleet(Arc::new(FixedAnswer(format!("{answer}\n"))))
+            .bind("127.0.0.1:0")
+            .expect("bind worker");
+        let mut config = FleetConfig::new(dir.0.join(tag), vec![worker.local_addr().to_string()]);
+        config.shards = 1;
+        config.heartbeat_interval = Duration::from_millis(100);
+        let err = run_fleet(&config, spec.clone()).expect_err("the only worker is buried");
+        assert!(
+            matches!(&err, FleetError::WorkersLost { pending_shards } if pending_shards == &[0]),
+            "{tag}: {err}"
+        );
+        worker.shutdown();
+    }
 }

@@ -1,4 +1,4 @@
-//! A minimal JSON value model, writer and parser.
+//! A minimal JSON value model, writer, parser and typed reader.
 //!
 //! The exporter needs to *emit* JSON-lines and the tooling needs to
 //! *validate* them (`clockmark-cli metrics`, the exporter round-trip
@@ -6,9 +6,15 @@
 //! implements the small subset of JSON the metrics format uses: objects,
 //! arrays, strings, finite numbers, booleans and null. Non-finite floats
 //! are written as `null`, matching what `JSON.stringify` does.
+//!
+//! Numbers keep their lexeme, so integers are exact. Persisted records
+//! decode through one typed reader, [`Record`] and [`FromJson`]: a missing
+//! field takes the caller's default, an unknown one is ignored, and a
+//! wrong-typed, inexact or non-finite value is a [`DecodeError`] naming
+//! its JSON path (`sequential.max_cycles`, `attacks[2].kind`, `snrs[1]`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 ///
@@ -20,8 +26,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Number(f64),
+    /// Any JSON number, as its source lexeme (one that parses as an
+    /// `f64`), so integers past 2^53 stay exact.
+    Number(String),
     /// A string.
     String(String),
     /// An array.
@@ -47,10 +54,23 @@ impl Json {
         }
     }
 
-    /// The numeric value when `self` is a number.
+    /// The numeric value when `self` is a number: exactly what Rust's
+    /// `f64` parser makes of the lexeme (`-0` is −0.0, and a long integer
+    /// lexeme is its nearest float).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Number(n) => Some(*n),
+            Json::Number(lexeme) => lexeme.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value when `self` is a plain integer — digits only, no sign,
+    /// fraction or exponent — that fits a `u64`.
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Number(lexeme) if lexeme.bytes().all(|b| b.is_ascii_digit()) => {
+                lexeme.parse().ok()
+            }
             _ => None,
         }
     }
@@ -86,6 +106,22 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Appends `items` to `out` as a JSON array, each written by `write`.
+pub fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
 /// A parse failure, with the byte offset where it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -95,8 +131,8 @@ pub struct JsonError {
     pub offset: usize,
 }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at byte {}", self.message, self.offset)
     }
 }
@@ -281,25 +317,173 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+')) {
+        // Digits, `.`, `e`, `E` and `+`; a `-` only as an exponent's sign.
+        while let Some(b) = self.peek() {
+            let exponent_sign = b == b'-' && matches!(self.bytes[self.pos - 1], b'e' | b'E');
+            if !(b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+') || exponent_sign) {
+                break;
+            }
             self.pos += 1;
         }
-        // A `-` inside an exponent (`1e-3`) is consumed by the loop above
-        // only via `+`; handle the minus sign after `e` explicitly.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-        let text = if text.ends_with(['e', 'E']) && self.peek() == Some(b'-') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII")
-        } else {
-            text
-        };
         text.parse::<f64>()
-            .map(Json::Number)
+            .map(|_| Json::Number(text.to_owned()))
             .map_err(|_| self.error("invalid number"))
     }
+}
+
+/// A persisted value that does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    /// JSON path of the offending value; empty for the document itself.
+    pub path: String,
+    /// What was wrong.
+    pub message: String,
+}
+
+impl DecodeError {
+    fn expected(path: String, what: &str, got: &Json) -> Self {
+        let got = match got {
+            Json::Number(lexeme) => lexeme.clone(),
+            Json::String(s) => format!("{s:?}"),
+            Json::Array(_) => "an array".to_owned(),
+            Json::Object(_) => "an object".to_owned(),
+            Json::Bool(b) => b.to_string(),
+            Json::Null => "null".to_owned(),
+        };
+        let message = format!("expected {what}, got {got}");
+        DecodeError { path, message }
+    }
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.path.as_str() {
+            "" => f.write_str(&self.message),
+            path => write!(f, "field `{path}`: {}", self.message),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// A type a JSON value decodes into.
+pub trait FromJson<'a>: Sized {
+    /// Decodes `value`, found at the JSON path `path()`; an error names
+    /// the path of the offending value.
+    fn from_json(value: &'a Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError>;
+}
+
+/// Parses `text` and decodes the whole document as a `T`.
+pub fn decode<T: for<'a> FromJson<'a>>(text: &str) -> Result<T, DecodeError> {
+    let value = parse(text).map_err(|e| DecodeError {
+        path: String::new(),
+        message: format!("invalid JSON: {e}"),
+    })?;
+    T::from_json(&value, String::new)
+}
+
+/// A JSON object being decoded: its fields, read by type. Each getter
+/// fails with a [`DecodeError`] when a present field does not decode.
+#[derive(Debug)]
+pub struct Record<'a> {
+    path: String,
+    fields: &'a BTreeMap<String, Json>,
+}
+
+impl<'a> Record<'a> {
+    fn path_of(&self, key: &str) -> String {
+        match self.path.as_str() {
+            "" => key.to_owned(),
+            parent => format!("{parent}.{key}"),
+        }
+    }
+
+    /// The field `key`, or `None` when it is absent.
+    pub fn opt<T: FromJson<'a>>(&self, key: &str) -> Result<Option<T>, DecodeError> {
+        self.fields
+            .get(key)
+            .map(|value| T::from_json(value, || self.path_of(key)))
+            .transpose()
+    }
+
+    /// The field `key`, which must be present.
+    pub fn req<T: FromJson<'a>>(&self, key: &str) -> Result<T, DecodeError> {
+        self.opt(key)?.ok_or_else(|| self.error(key, "missing"))
+    }
+
+    /// The field `key`, or `default` when it is absent.
+    pub fn or<T: FromJson<'a>>(&self, key: &str, default: T) -> Result<T, DecodeError> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// An error about the field `key`, for checks beyond its type.
+    pub fn error(&self, key: &str, message: impl Into<String>) -> DecodeError {
+        DecodeError {
+            path: self.path_of(key),
+            message: message.into(),
+        }
+    }
+}
+
+impl<'a> FromJson<'a> for Record<'a> {
+    fn from_json(value: &'a Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        match value {
+            Json::Object(fields) => Ok(Record {
+                path: path(),
+                fields,
+            }),
+            other => Err(DecodeError::expected(path(), "an object", other)),
+        }
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(value: &'a Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        let path = path();
+        match value {
+            Json::Array(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| T::from_json(item, || format!("{path}[{i}]")))
+                .collect(),
+            other => Err(DecodeError::expected(path, "an array", other)),
+        }
+    }
+}
+
+/// A `u64` written as an exact integer or as its decimal string, the form
+/// persisted seeds take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecimalU64(pub u64);
+
+macro_rules! scalars {
+    ($($ty:ty => $expected:literal, $read:expr;)*) => {$(
+        impl<'a> FromJson<'a> for $ty {
+            fn from_json(
+                value: &'a Json,
+                path: impl FnOnce() -> String,
+            ) -> Result<Self, DecodeError> {
+                let read: fn(&'a Json) -> Option<$ty> = $read;
+                read(value).ok_or_else(|| DecodeError::expected(path(), $expected, value))
+            }
+        }
+    )*};
+}
+
+scalars! {
+    bool => "a boolean", |v| match v { Json::Bool(b) => Some(*b), _ => None };
+    &'a str => "a string", Json::as_str;
+    String => "a string", |v| v.as_str().map(str::to_owned);
+    f64 => "a finite number", |v| v.as_f64().filter(|x| x.is_finite());
+    u64 => "a u64 integer", Json::as_u64;
+    usize => "a usize integer", |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u32 => "a u32 integer", |v| v.as_u64().and_then(|n| n.try_into().ok());
+    u16 => "a u16 integer", |v| v.as_u64().and_then(|n| n.try_into().ok());
+    DecimalU64 => "a u64 integer or decimal string", |v| match v {
+        Json::String(s) => s.parse().ok(),
+        other => other.as_u64(),
+    }.map(DecimalU64);
 }
 
 #[cfg(test)]
@@ -312,9 +496,9 @@ mod tests {
         assert_eq!(
             v.get("a"),
             Some(&Json::Array(vec![
-                Json::Number(1.0),
-                Json::Number(2.5),
-                Json::Number(-0.03),
+                Json::Number("1".to_owned()),
+                Json::Number("2.5".to_owned()),
+                Json::Number("-3e-2".to_owned()),
             ]))
         );
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Json::Bool(true)));
@@ -366,8 +550,8 @@ mod tests {
 
     #[test]
     fn accepts_scientific_notation() {
-        assert_eq!(parse("1e-9").expect("valid"), Json::Number(1e-9));
-        assert_eq!(parse("2.5E+3").expect("valid"), Json::Number(2500.0));
-        assert_eq!(parse("-0.125").expect("valid"), Json::Number(-0.125));
+        assert_eq!(parse("1e-9").expect("valid").as_f64(), Some(1e-9));
+        assert_eq!(parse("2.5E+3").expect("valid").as_f64(), Some(2500.0));
+        assert_eq!(parse("-0.125").expect("valid").as_f64(), Some(-0.125));
     }
 }
