@@ -24,10 +24,20 @@
 //! campaign/
 //!   campaign.json        # the spec, written once at creation (tmp+rename)
 //!   results.jsonl        # append-only completed-job outcomes (flushed per line)
+//!   progress.json        # live progress (tmp, remove, rename; may be absent)
 //!   checkpoints/
-//!     job_<idx>.ckpt     # binary mid-flight fold snapshots (tmp+rename)
+//!     job_<idx>.ckpt     # binary mid-flight fold snapshots (tmp, remove, rename)
+//!     job_<idx>.tmp      # the next snapshot while it is written
 //!   report.json          # final report, written when the last job lands
 //! ```
+//!
+//! A checkpoint replaces its predecessor without renaming over it: the
+//! new snapshot is written to the temp name, the live file is removed,
+//! and the temp is renamed onto the now-free name, because renaming over
+//! a live file stalls in file-system write-back. A kill in between leaves
+//! the complete temp, which a restore falls back to, and a torn temp
+//! fails its CRC. `progress.json` is replaced the same way; the files
+//! that cannot validate themselves are still renamed over.
 //!
 //! Kill the process at any instant — between jobs, mid-trace, even
 //! mid-append (the torn last line of `results.jsonl` is tolerated) — and
@@ -52,10 +62,10 @@ use clockmark_obs::json::{self, DecodeError, FromJson, Json, Record};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Magic bytes leading a checkpoint file. Version 2 added the spectrum
@@ -738,6 +748,19 @@ impl Campaign {
             .join(format!("job_{index}.ckpt"))
     }
 
+    /// Whether a job has a checkpoint under either of its names.
+    fn has_checkpoint(&self, index: usize) -> bool {
+        let path = self.checkpoint_path(index);
+        path.exists() || temp_path(&path).exists()
+    }
+
+    /// Removes a job's checkpoint under both of its names.
+    fn remove_checkpoint(&self, index: usize) {
+        let path = self.checkpoint_path(index);
+        let _ = fs::remove_file(temp_path(&path));
+        let _ = fs::remove_file(path);
+    }
+
     /// Loads the persisted outcomes, keyed by job index.
     ///
     /// A torn *final* line — the signature a kill mid-append leaves — is
@@ -810,7 +833,7 @@ impl Campaign {
     pub fn status(&self) -> Result<CampaignStatus, CampaignError> {
         let completed = self.load_results()?;
         let checkpointed = (0..self.spec.traces.len())
-            .filter(|index| !completed.contains_key(index) && self.checkpoint_path(*index).exists())
+            .filter(|index| !completed.contains_key(index) && self.has_checkpoint(*index))
             .count();
         Ok(CampaignStatus {
             total: self.spec.traces.len(),
@@ -883,7 +906,7 @@ impl Campaign {
         // A crash between "append result" and "delete checkpoint" leaves a
         // stale snapshot behind; sweep those before claiming work.
         for index in completed.keys() {
-            let _ = fs::remove_file(self.checkpoint_path(*index));
+            self.remove_checkpoint(*index);
         }
         let mut pending: Vec<JobSpec> = self
             .jobs()
@@ -1092,7 +1115,7 @@ impl Campaign {
             // the same spec, and scenario jobs never write one; sweep
             // anyway so a hand-edited spec cannot resurrect a foreign
             // snapshot.
-            let _ = fs::remove_file(self.checkpoint_path(job.index));
+            self.remove_checkpoint(job.index);
             return Ok(JobSession::Scenario {
                 samples: Vec::with_capacity(trace_cycles as usize),
             });
@@ -1135,7 +1158,7 @@ impl Campaign {
             file.flush()
                 .map_err(|e| CampaignError::io("flushing results.jsonl", e))?;
         }
-        let _ = fs::remove_file(self.checkpoint_path(job.index));
+        self.remove_checkpoint(job.index);
         clockmark_obs::counter_add("campaign.jobs_completed", 1);
         board.note_job_done();
         Ok(Some(outcome))
@@ -1148,10 +1171,14 @@ impl Campaign {
     /// format, and a checkpoint written in either flavour restores into
     /// whichever one the spec now records.
     ///
+    /// The live file is read when it exists. Otherwise the temp is: a
+    /// kill between the remove and the rename of [`replace_free_name`]
+    /// leaves the complete new snapshot only under that name.
+    ///
     /// Any defect — wrong trace, wrong pattern, wrong spectrum kernel,
-    /// impossible cycle count, corrupt bytes — discards the file:
-    /// restarting a job is always safe (replay is bit-identical),
-    /// trusting a bad snapshot never is.
+    /// impossible cycle count, corrupt or torn bytes — discards the
+    /// checkpoint: restarting a job is always safe (replay is
+    /// bit-identical), trusting a bad snapshot never is.
     fn restore_checkpoint(
         &self,
         facade: &Detector,
@@ -1159,7 +1186,9 @@ impl Campaign {
         trace_cycles: u64,
     ) -> Option<Session> {
         let path = self.checkpoint_path(job.index);
-        let bytes = fs::read(&path).ok()?;
+        let bytes = fs::read(&path)
+            .or_else(|_| fs::read(temp_path(&path)))
+            .ok()?;
         let session = decode_checkpoint(&bytes)
             .ok()
             .filter(|(index, trace, algo, state)| {
@@ -1171,14 +1200,15 @@ impl Campaign {
             // The resume rejects a snapshot of another pattern.
             .and_then(|(_, _, _, state)| facade.resume(self.mode(), state).ok());
         if session.is_none() {
-            let _ = fs::remove_file(&path);
+            self.remove_checkpoint(job.index);
             clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
         }
         session
     }
 
-    /// Snapshots a job's fold to disk (tmp + rename, so a kill mid-write
-    /// leaves the previous checkpoint intact).
+    /// Snapshots a job's fold to disk through [`replace_free_name`]: a
+    /// kill mid-write leaves the previous checkpoint intact, and a kill
+    /// after the remove leaves the complete new one as the temp.
     fn write_checkpoint(
         &self,
         job: &JobSpec,
@@ -1186,7 +1216,7 @@ impl Campaign {
     ) -> Result<(), CampaignError> {
         let bytes = encode_checkpoint(job.index, &job.trace, self.spec.algo, state);
         let path = self.checkpoint_path(job.index);
-        write_atomic(&path, &bytes)?;
+        replace_free_name(&path, &bytes)?;
         clockmark_obs::counter_add("campaign.checkpoints_written", 1);
         clockmark_obs::counter_add("campaign.checkpoint_bytes", bytes.len() as u64);
         Ok(())
@@ -1310,6 +1340,8 @@ struct ProgressBoard {
     done: AtomicU64,
     cycles: AtomicU64,
     t0: Instant,
+    /// Held while one worker snapshots and writes `progress.json`.
+    publishing: Mutex<()>,
 }
 
 impl ProgressBoard {
@@ -1321,6 +1353,7 @@ impl ProgressBoard {
             done: AtomicU64::new(0),
             cycles: AtomicU64::new(0),
             t0: Instant::now(),
+            publishing: Mutex::new(()),
         }
     }
 
@@ -1363,21 +1396,37 @@ impl ProgressBoard {
         }
     }
 
-    /// Publishes gauges and the atomic `progress.json`. Best-effort: a
-    /// publish failure never fails the campaign.
+    /// Publishes gauges and `progress.json`, one worker at a time: the
+    /// snapshot is taken and written under one lock, so workers never
+    /// share the temp file and `done` never goes backwards on disk. A
+    /// reader may briefly find no file, which means "no progress yet".
+    /// Best-effort: a publish failure never fails the campaign.
     fn publish(&self) {
+        // The lock guards no data, so a panicked holder leaves nothing
+        // inconsistent behind.
+        let _turn = self
+            .publishing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let p = self.snapshot();
         clockmark_obs::gauge_set("campaign.jobs_done", p.done as f64);
         clockmark_obs::gauge_set("campaign.jobs_total", p.total as f64);
         clockmark_obs::gauge_set("campaign.cycles_per_sec", p.cycles_per_sec);
         clockmark_obs::gauge_set("campaign.eta_seconds", p.eta_seconds);
-        let _ = write_atomic(&self.path, format!("{}\n", p.encode()).as_bytes());
+        let _ = replace_free_name(&self.path, format!("{}\n", p.encode()).as_bytes());
     }
 }
 
-/// Writes `bytes` to `path` through a temp file + rename.
+/// The name a file is written under before it replaces `path`.
+fn temp_path(path: &Path) -> PathBuf {
+    path.with_extension("tmp")
+}
+
+/// Writes `bytes` to `path` through a temp file + rename over `path`: a
+/// reader always finds the old or the new file, whole. For files that
+/// cannot validate themselves and are written once or twice per run.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_path(path);
     fs::write(&tmp, bytes)
         .map_err(|e| CampaignError::io(format!("writing {}", tmp.display()), e))?;
     fs::rename(&tmp, path).map_err(|e| {
@@ -1387,6 +1436,33 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignErro
         )
     })?;
     Ok(())
+}
+
+/// Replaces `path` with `bytes` without renaming over a live file: write
+/// the temp, remove `path`, rename the temp onto the now-free name.
+///
+/// Renaming over an existing file makes ext4 (with its default
+/// `auto_da_alloc`) force write-back of the new one, a stall of hundreds
+/// of microseconds per replacement; a rename onto a free name does not.
+/// The price is a window with no file under `path`, only the complete
+/// temp, so this is for files a reader can do without — progress — or
+/// can recover from the temp and validate — checkpoints, by their CRC.
+fn replace_free_name(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
+    let tmp = temp_path(path);
+    fs::write(&tmp, bytes)
+        .map_err(|e| CampaignError::io(format!("writing {}", tmp.display()), e))?;
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != ErrorKind::NotFound => {
+            return Err(CampaignError::io(format!("removing {}", path.display()), e));
+        }
+        _ => {}
+    }
+    fs::rename(&tmp, path).map_err(|e| {
+        CampaignError::io(
+            format!("renaming {} onto {}", tmp.display(), path.display()),
+            e,
+        )
+    })
 }
 
 /// Encodes a checkpoint: magic, spectrum kernel, job identity, then every

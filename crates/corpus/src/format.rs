@@ -279,6 +279,8 @@ pub struct TraceReader<R: Read> {
     crc: Crc32,
     header: TraceHeader,
     consumed: u64,
+    /// The sample bytes of the latest chunk, reused across chunks.
+    bytes: Vec<u8>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -301,6 +303,7 @@ impl<R: Read> TraceReader<R> {
             crc,
             header,
             consumed: 0,
+            bytes: Vec::new(),
         })
     }
 
@@ -333,21 +336,16 @@ impl<R: Read> TraceReader<R> {
         if want == 0 {
             return Ok(0);
         }
-        let mut bytes = vec![0u8; want * 8];
-        self.inner
-            .read_exact(&mut bytes)
-            .map_err(|e| CorpusError::io("reading trace samples", e))?;
-        self.crc.update(&bytes);
-        clockmark_obs::counter_add("corpus.bytes_read", bytes.len() as u64);
-        for (i, slot) in buf[..want].iter_mut().enumerate() {
-            let v = codec::get_f64(&bytes, i * 8)?;
-            if !v.is_finite() {
-                return Err(CorpusError::NonFinite {
-                    index: self.consumed + i as u64,
-                });
-            }
-            *slot = v;
+        if self.bytes.len() < want * 8 {
+            self.bytes.resize(want * 8, 0);
         }
+        let bytes = &mut self.bytes[..want * 8];
+        self.inner
+            .read_exact(bytes)
+            .map_err(|e| CorpusError::io("reading trace samples", e))?;
+        self.crc.update(bytes);
+        clockmark_obs::counter_add("corpus.bytes_read", bytes.len() as u64);
+        decode_samples(bytes, &mut buf[..want], self.consumed)?;
         self.consumed += want as u64;
         Ok(want)
     }
@@ -401,6 +399,32 @@ impl<R: Read> TraceReader<R> {
             return Err(CorpusError::Corrupt { expected, actual });
         }
         Ok(self.header)
+    }
+}
+
+/// Decodes the little-endian samples in `bytes` (eight per slot of
+/// `out`) in one branch-free pass that folds finiteness into one flag.
+/// Only when the flag trips does it look for the first NaN or infinity,
+/// reported with its absolute index, `first` being `out[0]`'s. Both
+/// trace readers decode through here, so they agree on every sample and
+/// every error.
+pub(crate) fn decode_samples(bytes: &[u8], out: &mut [f64], first: u64) -> Result<(), CorpusError> {
+    let (words, _) = bytes.as_chunks::<8>();
+    debug_assert_eq!(words.len(), out.len(), "one 8-byte word per sample");
+    let mut finite = true;
+    for (slot, word) in out.iter_mut().zip(words) {
+        let v = f64::from_le_bytes(*word);
+        finite &= v.is_finite();
+        *slot = v;
+    }
+    if finite {
+        return Ok(());
+    }
+    match out.iter().position(|v| !v.is_finite()) {
+        Some(at) => Err(CorpusError::NonFinite {
+            index: first + at as u64,
+        }),
+        None => Ok(()),
     }
 }
 

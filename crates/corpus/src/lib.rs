@@ -27,9 +27,10 @@
 //! versioning rules live in `docs/corpus.md`; the mmap lifecycle and
 //! safety contract in `docs/perf.md`.
 
-// `deny` rather than `forbid`: the one scoped exception is the raw
-// `mmap`/`munmap` FFI in `mmap.rs`, which carries its own safety
-// argument. Everything else in the crate remains unsafe-free.
+// `deny` rather than `forbid`: the two scoped exceptions, each with its
+// own safety argument, are the raw `mmap`/`munmap` FFI in `mmap.rs` and
+// the call into the CRC fold after feature detection in `crc32.rs`.
+// Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -18,10 +18,11 @@
 //!
 //! ## Safety contract
 //!
-//! All `unsafe` in the workspace lives in two scoped `sys` modules:
-//! the one below and `clockmark-serve`'s `poll::sys` (the `poll(2)` /
-//! `RLIMIT_NOFILE` prototypes of the readiness engine), each behind a
-//! scoped `allow`. The argument for soundness here:
+//! All `unsafe` in the workspace sits behind three scoped `allow`s: the
+//! `sys` module below, `clockmark-serve`'s `poll::sys` (the `poll(2)` /
+//! `RLIMIT_NOFILE` prototypes of the readiness engine), and the one call
+//! into the CRC's carry-less-multiply fold after run-time feature
+//! detection (`crc32.rs`). The argument for soundness here:
 //!
 //! - the mapping is `PROT_READ` and `MAP_PRIVATE`: nothing can write
 //!   through it, and writes by other processes to the underlying pages
@@ -47,7 +48,7 @@ use std::path::Path;
 
 #[cfg(unix)]
 mod sys {
-    //! The one `unsafe` block in the workspace: raw `mmap`/`munmap` FFI.
+    //! The raw `mmap`/`munmap` FFI.
     #![allow(unsafe_code)]
 
     use std::ffi::c_void;

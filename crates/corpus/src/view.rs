@@ -69,15 +69,7 @@ impl Cursor {
         let chunk = &bytes[start..start + want * 8];
         self.crc.update(chunk);
         clockmark_obs::counter_add("corpus.bytes_read", chunk.len() as u64);
-        for (i, slot) in buf[..want].iter_mut().enumerate() {
-            let v = codec::get_f64(chunk, i * 8)?;
-            if !v.is_finite() {
-                return Err(CorpusError::NonFinite {
-                    index: self.consumed + i as u64,
-                });
-            }
-            *slot = v;
-        }
+        format::decode_samples(chunk, &mut buf[..want], self.consumed)?;
         self.consumed += want as u64;
         Ok(want)
     }
@@ -423,6 +415,54 @@ mod tests {
             matches!(err, CorpusError::NonFinite { index: 200 }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_non_finite_sample_is_named_by_both_readers_wherever_it_sits() {
+        const N: usize = 200;
+        let w = watts(N, 11);
+        let clean = encode_trace(TraceHeader::bare(0), &w).expect("encodes");
+        let payload_nan = f64::from_bits(0x7FF8_0000_0000_0BAD);
+        for chunk in [1usize, 7, 16, 64, N] {
+            let boundaries = [chunk - 1, chunk, chunk + 1];
+            let spots = [0, N / 2, N - 1].into_iter().chain(boundaries);
+            for at in spots.filter(|&at| at < N) {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, payload_nan] {
+                    let mut bytes = clean.clone();
+                    // A second bad sample right after must not be the one named.
+                    for spot in [at, at + 1].into_iter().filter(|&s| s < N) {
+                        let off = HEADER_LEN + spot * 8;
+                        bytes[off..off + 8].copy_from_slice(&bad.to_le_bytes());
+                    }
+                    let chunk_start = (at / chunk * chunk) as u64;
+                    let mut view = TraceBytes::new(&bytes).expect("opens");
+                    let mut reader = TraceReader::new(bytes.as_slice()).expect("opens");
+                    let mut buf = vec![0.0f64; chunk];
+                    let view_err = loop {
+                        match view.read_chunk(&mut buf) {
+                            Ok(n) => assert!(n > 0, "ran past sample {at}"),
+                            Err(e) => break e,
+                        }
+                    };
+                    let reader_err = loop {
+                        match reader.read_chunk(&mut buf) {
+                            Ok(n) => assert!(n > 0, "ran past sample {at}"),
+                            Err(e) => break e,
+                        }
+                    };
+                    for (name, err, consumed) in [
+                        ("mapped", view_err, view.consumed()),
+                        ("buffered", reader_err, reader.consumed()),
+                    ] {
+                        assert!(
+                            matches!(err, CorpusError::NonFinite { index } if index == at as u64),
+                            "{name}: chunk {chunk}, sample {at}: {err}"
+                        );
+                        assert_eq!(consumed, chunk_start, "{name}: chunk {chunk}, sample {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -412,18 +412,25 @@ fn finish_spectrum_span(
     spectrum
 }
 
-/// A per-thread `(period, ones)`-keyed cache of the last correlator, so
-/// repeated spectra against the same watermark — the campaign and
-/// streaming hot path — pay the FFT plan and the reference transform
-/// once per worker thread instead of once per call.
+/// One entry of the per-thread correlator cache: the FFT plan of a
+/// period and the reference transform of the pattern it last served.
+/// Repeated spectra against the same watermark — the campaign and
+/// streaming hot path — pay the plan and the reference transform once
+/// per worker thread instead of once per call.
 struct CachedCorrelator {
     period: usize,
     ones: Vec<usize>,
     correlator: CircularCorrelator,
 }
 
+/// Periods whose correlators a thread keeps: enough for a
+/// multi-watermark verdict (the primary pattern plus its extra widths)
+/// to find every plan warm in the next job.
+const CACHED_PERIODS: usize = 4;
+
 thread_local! {
-    static CORRELATOR_CACHE: RefCell<Option<CachedCorrelator>> = const { RefCell::new(None) };
+    /// One correlator per period, least recently used first.
+    static CORRELATOR_CACHE: RefCell<Vec<CachedCorrelator>> = const { RefCell::new(Vec::new()) };
 
     /// Per-thread FFT-path scratch (`m` as f64, the two correlation
     /// outputs), so repeated spectra — the sequential checkpoint loop —
@@ -457,42 +464,50 @@ fn with_cached_correlator<R>(
     f: impl FnOnce(&mut CircularCorrelator) -> R,
 ) -> R {
     CORRELATOR_CACHE.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let plan_hit = slot.as_ref().is_some_and(|cached| cached.period == period);
-        let full_hit = plan_hit && slot.as_ref().is_some_and(|cached| cached.ones == ones);
-        if !full_hit {
-            let span = clockmark_obs::span("cpa.fft.plan")
-                .field("period", period)
-                .field("ones", ones.len())
-                .field("plan_reused", plan_hit);
-            let plan_timed = span.is_recording().then(std::time::Instant::now);
-            // A same-period cache with a different pattern keeps its FFT
-            // plan (twiddles + scratch) and only re-transforms the new
-            // reference — one forward FFT instead of a full plan build.
-            // This is what makes per-candidate spectra in the batched
-            // identification path cheap.
-            let mut cached = match slot.take() {
-                Some(cached) if plan_hit => cached,
-                _ => CachedCorrelator {
+        let mut cache = cell.borrow_mut();
+        let hit = cache
+            .iter()
+            .position(|cached| cached.period == period)
+            .map(|at| cache.remove(at));
+        let plan_hit = hit.is_some();
+        let full_hit = hit.as_ref().is_some_and(|cached| cached.ones == ones);
+        let cached = match hit {
+            Some(cached) if full_hit => cached,
+            hit => {
+                let span = clockmark_obs::span("cpa.fft.plan")
+                    .field("period", period)
+                    .field("ones", ones.len())
+                    .field("plan_reused", plan_hit);
+                let plan_timed = span.is_recording().then(std::time::Instant::now);
+                // A same-period entry with a different pattern keeps its
+                // FFT plan (twiddles + scratch) and only re-transforms the
+                // new reference — one forward FFT instead of a full plan
+                // build. This is what makes per-candidate spectra in the
+                // batched identification path cheap.
+                let mut cached = hit.unwrap_or_else(|| CachedCorrelator {
                     period,
                     ones: Vec::new(),
                     correlator: CircularCorrelator::new(period)
                         .expect("validated patterns have period >= 2, so the plan is non-empty"),
-                },
-            };
-            let mut indicator = vec![0.0f64; period];
-            for &j in ones {
-                indicator[j] = 1.0;
+                });
+                let mut indicator = vec![0.0f64; period];
+                for &j in ones {
+                    indicator[j] = 1.0;
+                }
+                cached.correlator.set_reference(&indicator);
+                cached.ones.clear();
+                cached.ones.extend_from_slice(ones);
+                if let Some(t0) = plan_timed {
+                    clockmark_obs::observe("cpa.fft.plan_seconds", t0.elapsed().as_secs_f64());
+                }
+                cached
             }
-            cached.correlator.set_reference(&indicator);
-            cached.ones.clear();
-            cached.ones.extend_from_slice(ones);
-            if let Some(t0) = plan_timed {
-                clockmark_obs::observe("cpa.fft.plan_seconds", t0.elapsed().as_secs_f64());
-            }
-            *slot = Some(cached);
+        };
+        if cache.len() == CACHED_PERIODS {
+            cache.remove(0);
         }
-        f(&mut slot.as_mut().expect("cache populated above").correlator)
+        cache.push(cached);
+        f(&mut cache.last_mut().expect("pushed above").correlator)
     })
 }
 

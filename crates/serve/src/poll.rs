@@ -4,7 +4,8 @@
 //! This mirrors the `corpus::mmap` pattern: the workspace stays
 //! `deny(unsafe_code)` everywhere except two scoped `sys` modules that
 //! declare a handful of libc prototypes directly (the workspace takes
-//! no external dependencies, so there is no `libc` crate to lean on).
+//! no external dependencies, so there is no `libc` crate to lean on)
+//! and the one call into the corpus CRC's PCLMULQDQ fold.
 //! Everything exported from this module is safe; on non-unix targets
 //! the engine falls back to the blocking accept loop and these helpers
 //! degrade to no-ops.
