@@ -277,8 +277,8 @@ fn identity_equivalence(
     let mut id_matrix = matrix(corpus_dir, pattern, names, cycles, vec![1.0]);
     id_matrix.attacks = vec![AttackSpec::None];
     id_matrix.defenses = vec![DefenseSpec::None];
-    spec.criterion = id_matrix.criterion;
-    spec.algo = id_matrix.algo;
+    spec.criterion = id_matrix.base.criterion;
+    spec.algo = id_matrix.base.algo;
 
     let plain = Campaign::create(dir.join("plain"), spec).expect("creates");
     let t0 = Instant::now();

@@ -124,7 +124,7 @@ pub enum CampaignError {
 }
 
 impl CampaignError {
-    fn io(context: impl Into<String>, source: std::io::Error) -> Self {
+    pub(crate) fn io(context: impl Into<String>, source: std::io::Error) -> Self {
         CampaignError::Io {
             context: context.into(),
             source,
@@ -184,19 +184,9 @@ impl From<DecodeError> for CampaignError {
 /// The largest `chunk_cycles` a spec may ask for: 16 Mi cycles, a 128 MiB
 /// read buffer per worker. Each job allocates its chunk up front, so an
 /// unbounded value from a hand-edited `campaign.json` or a fleet
-/// assignment would abort the process instead of failing the spec.
-pub(crate) const MAX_CHUNK_CYCLES: usize = 1 << 24;
-
-/// Rejects a read-chunk size above [`MAX_CHUNK_CYCLES`] (0 stays legal:
-/// jobs clamp it to 1).
-pub(crate) fn check_chunk_cycles(chunk_cycles: usize) -> Result<(), CampaignError> {
-    if chunk_cycles > MAX_CHUNK_CYCLES {
-        return Err(CampaignError::spec(format!(
-            "chunk_cycles {chunk_cycles} exceeds the maximum of {MAX_CHUNK_CYCLES}"
-        )));
-    }
-    Ok(())
-}
+/// assignment would abort the process instead of failing the spec. (0
+/// stays legal: jobs clamp it to 1.)
+const MAX_CHUNK_CYCLES: usize = 1 << 24;
 
 /// What a campaign is: which corpus, which watermark, which traces, and
 /// how detection and checkpointing are tuned.
@@ -208,6 +198,11 @@ pub struct CampaignSpec {
     pub pattern: Vec<bool>,
     /// Corpus trace names, one detection job each; job `i` is `traces[i]`.
     pub traces: Vec<String>,
+    /// The global id of each job, one per trace and strictly increasing,
+    /// or `None` for ids `0..traces.len()`. A fleet shard is the fleet
+    /// spec narrowed to its traces and their ids, so its checkpoints,
+    /// results lines and scenario seeds carry the single-node numbers.
+    pub job_ids: Option<Vec<usize>>,
     /// Peak-resolution rule applied to every job.
     pub criterion: DetectionCriterion,
     /// Snapshot the fold every this many ingested cycles (0 disables
@@ -254,6 +249,7 @@ impl CampaignSpec {
             corpus: corpus.into(),
             pattern,
             traces,
+            job_ids: None,
             criterion: DetectionCriterion::default(),
             checkpoint_cycles: 65_536,
             chunk_cycles: 8_192,
@@ -277,21 +273,42 @@ impl CampaignSpec {
         self
     }
 
-    /// Serialises the spec as one JSON object.
+    /// The jobs in trace order: job `i` reads `traces[i]` under the id
+    /// `job_ids[i]`, or `i` when the spec carries no ids.
+    pub fn jobs(&self) -> Vec<JobSpec> {
+        let ids = self
+            .job_ids
+            .clone()
+            .unwrap_or_else(|| (0..self.traces.len()).collect());
+        ids.into_iter()
+            .zip(&self.traces)
+            .map(|(index, trace)| JobSpec {
+                index,
+                trace: trace.clone(),
+            })
+            .collect()
+    }
+
+    /// Whether `index` is the id of one of the spec's jobs.
+    pub fn has_job(&self, index: usize) -> bool {
+        match &self.job_ids {
+            Some(ids) => ids.binary_search(&index).is_ok(),
+            None => index < self.traces.len(),
+        }
+    }
+
+    /// Serialises the spec as one JSON object. `job_ids` is written only
+    /// when set, so a spec without ids keeps the bytes it always had.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(256);
-        encode_head(&mut out, &self.corpus, &self.pattern, &self.traces);
-        out.push_str(",\"min_peak_ratio\":");
-        json::write_f64(&mut out, self.criterion.min_peak_ratio);
-        out.push_str(",\"min_zscore\":");
-        json::write_f64(&mut out, self.criterion.min_zscore);
-        let _ = write!(
-            out,
-            ",\"checkpoint_cycles\":{},\"chunk_cycles\":{},\"algo\":\"{}\"",
-            self.checkpoint_cycles,
-            self.chunk_cycles,
-            self.algo.as_str()
-        );
+        self.encode_head(&mut out);
+        if let Some(ids) = &self.job_ids {
+            out.push_str(",\"job_ids\":");
+            json::write_list(&mut out, ids, |out, id| {
+                let _ = write!(out, "{id}");
+            });
+        }
+        self.encode_tuning(&mut out);
         if let Some(seq) = &self.sequential {
             let _ = write!(
                 out,
@@ -317,6 +334,33 @@ impl CampaignSpec {
         out
     }
 
+    /// Writes the head a spec and a scenario matrix both open with:
+    /// `{"corpus":…,"pattern":"0110…","traces":[…]`.
+    pub(crate) fn encode_head(&self, out: &mut String) {
+        out.push_str("{\"corpus\":");
+        json::write_str(out, &self.corpus.to_string_lossy());
+        out.push_str(",\"pattern\":\"");
+        out.extend(self.pattern.iter().map(|&bit| if bit { '1' } else { '0' }));
+        out.push_str("\",\"traces\":");
+        json::write_list(out, &self.traces, |out, trace| json::write_str(out, trace));
+    }
+
+    /// Writes the tuning fields a spec and a scenario matrix share,
+    /// `,"min_peak_ratio":…` through `,"algo":"…"`.
+    pub(crate) fn encode_tuning(&self, out: &mut String) {
+        out.push_str(",\"min_peak_ratio\":");
+        json::write_f64(out, self.criterion.min_peak_ratio);
+        out.push_str(",\"min_zscore\":");
+        json::write_f64(out, self.criterion.min_zscore);
+        let _ = write!(
+            out,
+            ",\"checkpoint_cycles\":{},\"chunk_cycles\":{},\"algo\":\"{}\"",
+            self.checkpoint_cycles,
+            self.chunk_cycles,
+            self.algo.as_str()
+        );
+    }
+
     /// Parses a spec serialised by [`encode`](CampaignSpec::encode).
     ///
     /// # Errors
@@ -328,7 +372,8 @@ impl CampaignSpec {
     }
 
     /// Validates the spec: a usable pattern, at least one trace, no
-    /// duplicate trace names, a read chunk of at most 2^24 cycles, and
+    /// duplicate trace names, job ids (when set) one per trace and
+    /// strictly increasing, a read chunk of at most 2^24 cycles, and
     /// finite criterion and schedule numbers (a non-finite one would be
     /// persisted as `null`, and the campaign could never be reopened).
     ///
@@ -347,7 +392,21 @@ impl CampaignSpec {
                 return Err(CampaignError::spec(format!("duplicate trace `{trace}`")));
             }
         }
-        check_chunk_cycles(self.chunk_cycles)?;
+        if let Some(ids) = &self.job_ids {
+            if ids.len() != self.traces.len() || ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(CampaignError::spec(format!(
+                    "{} job ids for {} traces; they must be one per trace, strictly increasing",
+                    ids.len(),
+                    self.traces.len()
+                )));
+            }
+        }
+        if self.chunk_cycles > MAX_CHUNK_CYCLES {
+            return Err(CampaignError::spec(format!(
+                "chunk_cycles {} exceeds the maximum of {MAX_CHUNK_CYCLES}",
+                self.chunk_cycles
+            )));
+        }
         let seq = self.sequential.unwrap_or_default();
         let numbers = [
             ("min_peak_ratio", self.criterion.min_peak_ratio),
@@ -400,6 +459,7 @@ impl FromJson<'_> for CampaignSpec {
             corpus,
             pattern,
             traces,
+            job_ids: f.opt("job_ids")?,
             criterion: DetectionCriterion {
                 min_peak_ratio: f.req("min_peak_ratio")?,
                 min_zscore: f.req("min_zscore")?,
@@ -415,18 +475,8 @@ impl FromJson<'_> for CampaignSpec {
     }
 }
 
-/// Writes the head a campaign spec and a scenario matrix both open with:
-/// `{"corpus":…,"pattern":"0110…","traces":[…]`.
-pub(crate) fn encode_head(out: &mut String, corpus: &Path, pattern: &[bool], traces: &[String]) {
-    out.push_str("{\"corpus\":");
-    json::write_str(out, &corpus.to_string_lossy());
-    out.push_str(",\"pattern\":\"");
-    out.extend(pattern.iter().map(|&bit| if bit { '1' } else { '0' }));
-    out.push_str("\",\"traces\":");
-    json::write_list(out, traces, |out, trace| json::write_str(out, trace));
-}
-
-/// Reads what [`encode_head`] writes: corpus, pattern bits, trace names.
+/// Reads what [`CampaignSpec::encode_head`] writes: corpus, pattern
+/// bits, trace names.
 pub(crate) fn decode_head(f: &Record) -> Result<(PathBuf, Vec<bool>, Vec<String>), DecodeError> {
     let pattern = f
         .req::<&str>("pattern")?
@@ -458,7 +508,8 @@ pub(crate) fn algo_field(f: &Record) -> Result<Option<CpaAlgo>, DecodeError> {
 /// One unit of campaign work: run detection over one stored trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Position in the campaign's job list (stable across resumes).
+    /// The job's id: its position in the trace list, or its entry in the
+    /// spec's `job_ids` (stable across resumes).
     pub index: usize,
     /// The corpus trace this job reads.
     pub trace: String,
@@ -708,19 +759,6 @@ impl Campaign {
         self
     }
 
-    /// The campaign's jobs, in index order.
-    pub fn jobs(&self) -> Vec<JobSpec> {
-        self.spec
-            .traces
-            .iter()
-            .enumerate()
-            .map(|(index, trace)| JobSpec {
-                index,
-                trace: trace.clone(),
-            })
-            .collect()
-    }
-
     fn results_path(&self) -> PathBuf {
         self.dir.join("results.jsonl")
     }
@@ -789,12 +827,11 @@ impl Campaign {
         for (i, line) in lines.iter().enumerate() {
             match JobOutcome::decode(line) {
                 Ok(outcome) => {
-                    if outcome.index >= self.spec.traces.len() {
+                    if !self.spec.has_job(outcome.index) {
                         return Err(CampaignError::spec(format!(
-                            "results line {} names job {} but the campaign has {} jobs",
+                            "results line {} names job {}, which the campaign does not have",
                             i + 1,
-                            outcome.index,
-                            self.spec.traces.len()
+                            outcome.index
                         )));
                     }
                     map.insert(outcome.index, outcome);
@@ -813,10 +850,10 @@ impl Campaign {
     /// read of the results log, with the same torn-tail tolerance and
     /// last-wins dedup a resume applies.
     ///
-    /// A fleet worker uses this to hand an interrupted shard's partial
-    /// results back to the coordinator: the log is valid (and the
-    /// outcome encoding byte-stable) at every interruption point the
-    /// checkpoint machinery can produce.
+    /// A fleet worker uses this to hand a shard's results back to the
+    /// coordinator as they are: a shard spec carries the global job ids,
+    /// and the log is valid (and the outcome encoding byte-stable) at
+    /// every interruption point the checkpoint machinery can produce.
     ///
     /// # Errors
     ///
@@ -832,8 +869,11 @@ impl Campaign {
     /// Returns the persistence errors of the results log.
     pub fn status(&self) -> Result<CampaignStatus, CampaignError> {
         let completed = self.load_results()?;
-        let checkpointed = (0..self.spec.traces.len())
-            .filter(|index| !completed.contains_key(index) && self.has_checkpoint(*index))
+        let checkpointed = self
+            .spec
+            .jobs()
+            .iter()
+            .filter(|job| !completed.contains_key(&job.index) && self.has_checkpoint(job.index))
             .count();
         Ok(CampaignStatus {
             total: self.spec.traces.len(),
@@ -909,6 +949,7 @@ impl Campaign {
             self.remove_checkpoint(*index);
         }
         let mut pending: Vec<JobSpec> = self
+            .spec
             .jobs()
             .into_iter()
             .filter(|job| !completed.contains_key(&job.index))
@@ -1982,6 +2023,111 @@ mod tests {
                 matches!(&err, CampaignError::Spec { message } if message.contains(field)),
                 "{field}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn job_ids_are_one_per_trace_strictly_increasing_and_written_only_when_set() {
+        let spec = CampaignSpec::new("c", pattern(), vec!["a".into(), "b".into()]);
+        assert!(!spec.encode().contains("job_ids"));
+        let ids: Vec<usize> = spec.jobs().iter().map(|job| job.index).collect();
+        assert_eq!(ids, [0, 1]);
+        assert!(spec.has_job(1) && !spec.has_job(2));
+
+        let shard = CampaignSpec {
+            job_ids: Some(vec![3, 8]),
+            ..spec.clone()
+        };
+        shard.validate().expect("valid");
+        assert!(shard
+            .encode()
+            .contains("\"traces\":[\"a\",\"b\"],\"job_ids\":[3,8],"));
+        assert_eq!(
+            CampaignSpec::decode(&shard.encode()).expect("decodes"),
+            shard
+        );
+        let jobs = shard.jobs();
+        assert_eq!((jobs[1].index, jobs[1].trace.as_str()), (8, "b"));
+        assert!(shard.has_job(3) && shard.has_job(8) && !shard.has_job(0));
+
+        for bad in [vec![3], vec![3, 8, 9], vec![8, 3], vec![3, 3]] {
+            let bad = CampaignSpec {
+                job_ids: Some(bad),
+                ..spec.clone()
+            };
+            let err = bad.validate().unwrap_err();
+            assert!(
+                matches!(&err, CampaignError::Spec { message } if message.contains("job ids")),
+                "{err}"
+            );
+        }
+    }
+
+    /// A campaign with job ids is the slice of the campaign without them:
+    /// the same outcomes under the same numbers, scenario seeds included,
+    /// with checkpoints, status and the results log following the ids.
+    #[test]
+    fn a_spec_with_job_ids_runs_its_slice_of_the_full_campaign() {
+        let dir = TempDir::new("job_ids");
+        let pattern = pattern();
+        let fixed = build_fixture(&dir.0, &pattern, 3, 2_000);
+        // Below nominal SNR every scenario outcome depends on its job seed.
+        let scenario = fixed.clone().with_scenario(ScenarioSpec {
+            snr: 0.5,
+            noise_watts: 0.5,
+            seed: 11,
+            ..ScenarioSpec::default()
+        });
+        for (tag, full) in [("fixed", fixed), ("scenario", scenario)] {
+            let whole = Campaign::create(dir.0.join(tag), full.clone())
+                .expect("creates")
+                .with_threads(1);
+            assert!(whole
+                .run(&CampaignLimits::none())
+                .expect("runs")
+                .is_complete());
+            let want = whole.report().expect("complete").outcomes;
+
+            let slice = CampaignSpec {
+                traces: full.traces[1..].to_vec(),
+                job_ids: Some(vec![1, 2, 3]),
+                ..full
+            };
+            let part_dir = dir.0.join(format!("{tag}_slice"));
+            let part = Campaign::create(&part_dir, slice)
+                .expect("creates")
+                .with_threads(1);
+            let interrupt = CampaignLimits {
+                max_jobs: None,
+                interrupt_job_after_cycles: Some(700),
+            };
+            let status = part.run(&interrupt).expect("runs");
+            if tag == "fixed" {
+                assert_eq!(status.checkpointed, 3, "{status}");
+                let mut names: Vec<_> = checkpoint_files(&part_dir)
+                    .iter()
+                    .map(|p| p.file_name().expect("named").to_string_lossy().into_owned())
+                    .collect();
+                names.sort();
+                assert_eq!(names, ["job_1.ckpt", "job_2.ckpt", "job_3.ckpt"]);
+            }
+            while !part.run(&interrupt).expect("runs").is_complete() {}
+            assert_eq!(
+                part.report().expect("complete").outcomes,
+                want[1..],
+                "{tag}"
+            );
+
+            // The results log admits only the spec's ids.
+            let mut foreign = want[0].encode();
+            foreign.push('\n');
+            let mut log = OpenOptions::new()
+                .append(true)
+                .open(part_dir.join("results.jsonl"))
+                .expect("opens");
+            log.write_all(foreign.as_bytes()).expect("appends");
+            let err = part.status().unwrap_err();
+            assert!(err.to_string().contains("names job 0"), "{err}");
         }
     }
 

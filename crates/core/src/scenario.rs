@@ -47,8 +47,8 @@ use crate::attack::{
     hash_gaussian, mix_seed, residues, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
 };
 use crate::campaign::{
-    algo_field, check_chunk_cycles, decode_head, encode_head, write_atomic, Campaign,
-    CampaignError, CampaignLimits, CampaignReport, CampaignSpec,
+    algo_field, decode_head, write_atomic, Campaign, CampaignError, CampaignLimits, CampaignReport,
+    CampaignSpec,
 };
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
@@ -59,16 +59,16 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The serializable cross-product: which attacks, which defenses, at
-/// which SNRs, over which corpus traces.
+/// The serializable cross-product: a base [`CampaignSpec`] (corpus,
+/// pattern, traces and tuning) run under every combination of attack,
+/// defense and SNR.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMatrix {
-    /// Root of the trace corpus every cell reads from.
-    pub corpus: PathBuf,
-    /// One period of the primary watermark pattern.
-    pub pattern: Vec<bool>,
-    /// Corpus trace names; every cell runs one job per trace.
-    pub traces: Vec<String>,
+    /// What every cell runs: corpus, primary pattern, traces (one job
+    /// each), criterion, checkpoint cadence, read chunk and kernel. It
+    /// sets no sequential schedule, scenario or job ids; each cell pins
+    /// its own scenario.
+    pub base: CampaignSpec,
     /// The attack axis.
     pub attacks: Vec<AttackSpec>,
     /// The defense axis.
@@ -81,26 +81,16 @@ pub struct ScenarioMatrix {
     pub noise_watts: f64,
     /// Root seed; cell seeds are counter-hashed from it.
     pub seed: u64,
-    /// Detection criterion every cell applies.
-    pub criterion: DetectionCriterion,
-    /// Checkpoint cadence for identity-cell streaming jobs.
-    pub checkpoint_cycles: u64,
-    /// Read-chunk size for every cell.
-    pub chunk_cycles: usize,
-    /// The spectrum kernel, resolved once and persisted (same pinning
-    /// policy as a plain campaign).
-    pub algo: CpaAlgo,
 }
 
 impl ScenarioMatrix {
-    /// A matrix over the default attack and defense axes at nominal SNR.
+    /// A matrix over the default attack and defense axes at nominal SNR,
+    /// with [`CampaignSpec::new`]'s tuning.
     ///
     /// The default seed-hopping dwell is stretched to two pattern periods
     /// where the default is shorter, so the matrix passes its own
     /// [`validate`](ScenarioMatrix::validate) at every LFSR width.
     pub fn new(corpus: impl Into<PathBuf>, pattern: Vec<bool>, traces: Vec<String>) -> Self {
-        let algo = clockmark_cpa::algo_override()
-            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&pattern));
         let defaults = ScenarioSpec::default();
         let min_dwell = 2 * pattern.len() as u64;
         let defenses = DefenseSpec::all_defaults()
@@ -113,26 +103,21 @@ impl ScenarioMatrix {
             })
             .collect();
         ScenarioMatrix {
-            corpus: corpus.into(),
-            pattern,
-            traces,
+            base: CampaignSpec::new(corpus, pattern, traces),
             attacks: AttackSpec::all_defaults(),
             defenses,
             snrs: vec![1.0],
             amplitude_watts: defaults.amplitude_watts,
             noise_watts: defaults.noise_watts,
             seed: 0,
-            criterion: DetectionCriterion::default(),
-            checkpoint_cycles: 65_536,
-            chunk_cycles: 8_192,
-            algo,
         }
     }
 
-    /// Serialises the matrix as one JSON object.
+    /// Serialises the matrix as one flat JSON object: the base spec's
+    /// head, the axes, then the base spec's tuning.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(512);
-        encode_head(&mut out, &self.corpus, &self.pattern, &self.traces);
+        self.base.encode_head(&mut out);
         out.push_str(",\"attacks\":");
         json::write_list(&mut out, &self.attacks, |out, a| a.encode_into(out));
         out.push_str(",\"defenses\":");
@@ -145,17 +130,8 @@ impl ScenarioMatrix {
         json::write_f64(&mut out, self.noise_watts);
         // As in [`ScenarioSpec`]: a decimal string, the persisted form.
         let _ = write!(out, ",\"seed\":\"{}\"", self.seed);
-        out.push_str(",\"min_peak_ratio\":");
-        json::write_f64(&mut out, self.criterion.min_peak_ratio);
-        out.push_str(",\"min_zscore\":");
-        json::write_f64(&mut out, self.criterion.min_zscore);
-        let _ = write!(
-            out,
-            ",\"checkpoint_cycles\":{},\"chunk_cycles\":{},\"algo\":\"{}\"}}",
-            self.checkpoint_cycles,
-            self.chunk_cycles,
-            self.algo.as_str()
-        );
+        self.base.encode_tuning(&mut out);
+        out.push('}');
         out
     }
 
@@ -173,41 +149,54 @@ impl ScenarioMatrix {
         Ok(json::decode(text)?)
     }
 
-    /// Validates the matrix: usable pattern and traces, non-empty axes,
-    /// every axis entry in range, hopping dwells long enough to detect a
-    /// segment, a read chunk a cell campaign accepts.
+    /// Validates the matrix: non-empty axes, hopping dwells long enough
+    /// to detect a segment, a base that sets no sequential schedule,
+    /// scenario or job ids (`scenarios.json` carries none of them), and
+    /// every cell's [`CampaignSpec`] valid — the same check a cell
+    /// campaign runs when it is created.
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::Spec`] naming the offending entry.
+    /// Returns [`CampaignError::Cpa`] for a degenerate pattern and
+    /// [`CampaignError::Spec`] naming the offending entry or cell.
     pub fn validate(&self) -> Result<(), CampaignError> {
-        Detector::new(&self.pattern)?;
-        if self.traces.is_empty() {
-            return Err(CampaignError::spec("matrix has no traces"));
-        }
         if self.attacks.is_empty() || self.defenses.is_empty() || self.snrs.is_empty() {
             return Err(CampaignError::spec(
                 "matrix axes must all be non-empty (attacks, defenses, snrs)",
             ));
         }
-        check_chunk_cycles(self.chunk_cycles)?;
-        for cell in self.cells() {
-            cell.spec
-                .validate()
-                .map_err(|e| CampaignError::spec(format!("cell {}: {e}", cell.id)))?;
+        let base = &self.base;
+        if base.sequential.is_some() || base.scenario.is_some() || base.job_ids.is_some() {
+            return Err(CampaignError::spec(
+                "a matrix base sets no sequential schedule, scenario or job ids",
+            ));
         }
         for defense in &self.defenses {
             if let DefenseSpec::SeedHopping { dwell_cycles } = defense {
-                if (*dwell_cycles as usize) < 2 * self.pattern.len() {
+                if (*dwell_cycles as usize) < 2 * base.pattern.len() {
                     return Err(CampaignError::spec(format!(
                         "seed_hopping dwell_cycles {} is shorter than two pattern periods ({})",
                         dwell_cycles,
-                        2 * self.pattern.len()
+                        2 * base.pattern.len()
                     )));
                 }
             }
         }
+        for cell in self.cells() {
+            self.cell_spec(&cell).validate().map_err(|e| match e {
+                CampaignError::Spec { message } => {
+                    CampaignError::spec(format!("cell {}: {message}", cell.id))
+                }
+                other => other,
+            })?;
+        }
         Ok(())
+    }
+
+    /// The [`CampaignSpec`] a cell runs: the base with the cell's
+    /// [`ScenarioSpec`] pinned in.
+    fn cell_spec(&self, cell: &ScenarioCell) -> CampaignSpec {
+        self.base.clone().with_scenario(cell.spec.clone())
     }
 
     /// Expands the cross-product into cells, in a stable order (attack
@@ -247,6 +236,7 @@ impl FromJson<'_> for ScenarioMatrix {
         let f = Record::from_json(value, path)?;
         let (corpus, pattern, traces) = decode_head(&f)?;
         let defaults = ScenarioMatrix::new(corpus, pattern, traces);
+        let base = defaults.base;
         Ok(ScenarioMatrix {
             attacks: f.or("attacks", defaults.attacks)?,
             defenses: f.or("defenses", defaults.defenses)?,
@@ -254,14 +244,16 @@ impl FromJson<'_> for ScenarioMatrix {
             amplitude_watts: f.or("amplitude_watts", defaults.amplitude_watts)?,
             noise_watts: f.or("noise_watts", defaults.noise_watts)?,
             seed: f.or("seed", DecimalU64(defaults.seed))?.0,
-            criterion: DetectionCriterion {
-                min_peak_ratio: f.or("min_peak_ratio", defaults.criterion.min_peak_ratio)?,
-                min_zscore: f.or("min_zscore", defaults.criterion.min_zscore)?,
+            base: CampaignSpec {
+                criterion: DetectionCriterion {
+                    min_peak_ratio: f.or("min_peak_ratio", base.criterion.min_peak_ratio)?,
+                    min_zscore: f.or("min_zscore", base.criterion.min_zscore)?,
+                },
+                checkpoint_cycles: f.or("checkpoint_cycles", base.checkpoint_cycles)?,
+                chunk_cycles: f.or("chunk_cycles", base.chunk_cycles)?,
+                algo: algo_field(&f)?.unwrap_or(base.algo),
+                ..base
             },
-            checkpoint_cycles: f.or("checkpoint_cycles", defaults.checkpoint_cycles)?,
-            chunk_cycles: f.or("chunk_cycles", defaults.chunk_cycles)?,
-            algo: algo_field(&f)?.unwrap_or(defaults.algo),
-            ..defaults
         })
     }
 }
@@ -419,18 +411,16 @@ impl ScenarioCampaign {
         matrix.validate()?;
         let spec_path = dir.join("scenarios.json");
         if spec_path.exists() {
-            return Err(CampaignError::Io {
-                context: format!("creating scenario campaign at {}", dir.display()),
-                source: std::io::Error::new(
+            return Err(CampaignError::io(
+                format!("creating scenario campaign at {}", dir.display()),
+                std::io::Error::new(
                     std::io::ErrorKind::AlreadyExists,
                     "scenarios.json already exists",
                 ),
-            });
+            ));
         }
-        fs::create_dir_all(dir.join("cells")).map_err(|e| CampaignError::Io {
-            context: format!("creating {}", dir.display()),
-            source: e,
-        })?;
+        fs::create_dir_all(dir.join("cells"))
+            .map_err(|e| CampaignError::io(format!("creating {}", dir.display()), e))?;
         write_atomic(&spec_path, format!("{}\n", matrix.encode()).as_bytes())?;
         Ok(ScenarioCampaign {
             dir,
@@ -448,10 +438,8 @@ impl ScenarioCampaign {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CampaignError> {
         let dir = dir.into();
         let spec_path = dir.join("scenarios.json");
-        let text = fs::read_to_string(&spec_path).map_err(|e| CampaignError::Io {
-            context: format!("reading {}", spec_path.display()),
-            source: e,
-        })?;
+        let text = fs::read_to_string(&spec_path)
+            .map_err(|e| CampaignError::io(format!("reading {}", spec_path.display()), e))?;
         let matrix = ScenarioMatrix::decode(text.trim())?;
         matrix.validate()?;
         Ok(ScenarioCampaign {
@@ -490,22 +478,6 @@ impl ScenarioCampaign {
         self.dir.join("report.json")
     }
 
-    /// The [`CampaignSpec`] a cell runs: the matrix's corpus, pattern,
-    /// traces and tuning, with the cell's [`ScenarioSpec`] pinned in.
-    fn cell_spec(&self, cell: &ScenarioCell) -> CampaignSpec {
-        CampaignSpec {
-            corpus: self.matrix.corpus.clone(),
-            pattern: self.matrix.pattern.clone(),
-            traces: self.matrix.traces.clone(),
-            criterion: self.matrix.criterion,
-            checkpoint_cycles: self.matrix.checkpoint_cycles,
-            chunk_cycles: self.matrix.chunk_cycles,
-            algo: self.matrix.algo,
-            sequential: None,
-            scenario: Some(cell.spec.clone()),
-        }
-    }
-
     /// Opens a cell's campaign, materialising it on first touch. The
     /// spec is a pure function of the persisted matrix, so a cell created
     /// during a later resume is identical to one created up front.
@@ -514,7 +486,7 @@ impl ScenarioCampaign {
         let campaign = if dir.join("campaign.json").exists() {
             Campaign::open(dir)?
         } else {
-            Campaign::create(dir, self.cell_spec(cell))?
+            Campaign::create(dir, self.matrix.cell_spec(cell))?
         };
         Ok(campaign.with_threads(self.threads))
     }
@@ -535,7 +507,7 @@ impl ScenarioCampaign {
     pub fn run(&self, limits: &CampaignLimits) -> Result<ScenarioStatus, CampaignError> {
         let _span = clockmark_obs::span("scenario.run")
             .field("cells", self.cells().len())
-            .field("jobs", self.cells().len() * self.matrix.traces.len());
+            .field("jobs", self.cells().len() * self.matrix.base.traces.len());
         let mut budget = limits.max_jobs;
         for cell in self.cells() {
             if budget == Some(0) {
@@ -543,7 +515,7 @@ impl ScenarioCampaign {
             }
             let campaign = self.cell_campaign(&cell)?;
             let before = campaign.status()?.completed;
-            if before == self.matrix.traces.len() {
+            if before == self.matrix.base.traces.len() {
                 continue;
             }
             let cell_limits = CampaignLimits {
@@ -575,7 +547,7 @@ impl ScenarioCampaign {
     /// Returns the persistence errors of any materialised cell.
     pub fn status(&self) -> Result<ScenarioStatus, CampaignError> {
         let cells = self.cells();
-        let per_cell = self.matrix.traces.len();
+        let per_cell = self.matrix.base.traces.len();
         let mut status = ScenarioStatus {
             cells_total: cells.len(),
             cells_complete: 0,
@@ -627,7 +599,7 @@ impl ScenarioCampaign {
             });
         }
         Ok(ScenarioReport {
-            algo: self.matrix.algo,
+            algo: self.matrix.base.algo,
             cells: rows,
         })
     }
@@ -707,11 +679,25 @@ impl InformedCheck {
 }
 
 /// One period of the extra m-sequence a [`DefenseSpec::MultiWatermark`]
-/// width contributes.
-fn extra_pattern(width: u32) -> Result<Vec<bool>, CpaError> {
+/// width contributes to a job of `len` cycles.
+fn extra_pattern(width: u32, len: usize) -> Result<Vec<bool>, CpaError> {
     let mut lfsr = Lfsr::maximal(width).map_err(|_| CpaError::ConstantPattern)?;
     let period = lfsr.period_hint().unwrap_or(0) as usize;
+    fits(period, len)?;
     Ok((0..period).map(|_| lfsr.next_bit()).collect())
+}
+
+/// Refuses a mark of `period` cycles on a job of `len`. The verifier
+/// fails on such a mark with this same error, so a plan stops before it
+/// generates one — a width-32 mark is 2^32 − 1 bits.
+fn fits(period: usize, len: usize) -> Result<(), CpaError> {
+    if period > len {
+        return Err(CpaError::TraceShorterThanPeriod {
+            have: len,
+            need: period,
+        });
+    }
+    Ok(())
 }
 
 /// The deterministic embed/verify schedule a defense expands to for one
@@ -742,12 +728,14 @@ impl DefensePlan {
         Ok(match defense {
             DefenseSpec::None => DefensePlan::Undefended,
             DefenseSpec::MultiWatermark { extra_widths } => {
+                // The verifier meets the primary first.
+                fits(pattern.len(), len)?;
                 let mut marks = vec![(
                     pattern.to_vec(),
                     (mix_seed(seed, 0) % period as u64) as usize,
                 )];
                 for (k, &width) in extra_widths.iter().enumerate() {
-                    let extra = extra_pattern(width)?;
+                    let extra = extra_pattern(width, len)?;
                     let phase = (mix_seed(seed, 1 + k as u64) % extra.len().max(1) as u64) as usize;
                     marks.push((extra, phase));
                 }
@@ -1263,8 +1251,73 @@ mod tests {
         matrix.defenses = vec![DefenseSpec::SeedHopping { dwell_cycles: 3 }];
         assert!(matrix.validate().is_err());
         let mut matrix = ScenarioMatrix::new("/c", pattern(), vec!["t".into()]);
-        matrix.chunk_cycles = usize::MAX;
+        matrix.base.chunk_cycles = usize::MAX;
         assert!(matrix.validate().is_err(), "oversized chunk");
+    }
+
+    /// Every cell runs `CampaignSpec::validate`, so a matrix no cell
+    /// campaign could create or reopen is refused before anything is
+    /// written; `scenarios.json` carries no base flavour or job ids.
+    #[test]
+    fn matrix_validation_runs_every_cell_spec_check() {
+        let fresh = || ScenarioMatrix::new("/c", pattern(), vec!["t0".into()]);
+        let mut duplicate = fresh();
+        duplicate.base.traces.push("t0".into());
+        let mut not_finite = fresh();
+        not_finite.base.criterion.min_zscore = f64::NAN;
+        let mut sequential = fresh();
+        sequential.base.sequential = Some(clockmark_cpa::SequentialOptions::default());
+        let mut scenario = fresh();
+        scenario.base.scenario = Some(ScenarioSpec::default());
+        let mut ids = fresh();
+        ids.base.job_ids = Some(vec![0]);
+        for (want, matrix) in [
+            ("duplicate trace `t0`", duplicate),
+            ("min_zscore must be finite", not_finite),
+            ("sets no sequential schedule", sequential),
+            ("sets no sequential schedule", scenario),
+            ("sets no sequential schedule", ids),
+        ] {
+            let err = matrix.validate().unwrap_err().to_string();
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        let mut constant = fresh();
+        constant.base.pattern = vec![true; 8];
+        assert!(matches!(
+            constant.validate().unwrap_err(),
+            CampaignError::Cpa(CpaError::ConstantPattern)
+        ));
+        fresh().validate().expect("the default matrix validates");
+    }
+
+    /// A multi-watermark mark longer than the job fails before it is
+    /// generated, with the error the verifier would have given: width 32
+    /// would otherwise build 2^32 − 1 bits twice.
+    #[test]
+    fn an_extra_width_beyond_the_job_fails_before_it_is_generated() {
+        let pattern = pattern();
+        let trace = marked(&pattern, 500, 3, 0.4, 0.05, 5);
+        let t0 = std::time::Instant::now();
+        for width in [10, 32] {
+            let mut samples = trace.clone();
+            let err = run_scenario_detection(
+                &spec(
+                    AttackSpec::None,
+                    DefenseSpec::MultiWatermark {
+                        extra_widths: vec![5, width],
+                    },
+                ),
+                &pattern,
+                &DetectionCriterion::default(),
+                CpaAlgo::Folded,
+                0,
+                &mut samples,
+            )
+            .unwrap_err();
+            let need = (1usize << width) - 1;
+            assert_eq!(err, CpaError::TraceShorterThanPeriod { have: 500, need });
+        }
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

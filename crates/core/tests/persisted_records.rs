@@ -7,18 +7,20 @@
 //!    is refused with an error naming its JSON path, while missing
 //!    optional fields take their defaults and unknown fields are ignored;
 //! 3. no byte-mutated record panics a decoder, and every mutant a
-//!    decoder accepts is a fixed point of `decode ∘ encode`.
+//!    decoder accepts is a fixed point of `decode ∘ encode`;
+//! 4. every byte-mutated spec that decodes runs through `Campaign::create`
+//!    and `Campaign::run` to `Ok` or `Err`, never a panic or an abort.
 //!
-//! The records: fixed, sequential and scenario `CampaignSpec`s,
+//! The records: fixed, sequential, scenario and job-id `CampaignSpec`s,
 //! `JobOutcome`, `CampaignProgress`, `ScenarioMatrix` (with every attack
-//! and defense kind) and `ManifestEntry`. The mutation run is std-only,
-//! with a seed and a budget fixed here.
+//! and defense kind) and `ManifestEntry`. The mutation runs are std-only,
+//! with seeds and budgets fixed here.
 
 use clockmark::{
-    AttackSpec, CampaignProgress, CampaignSpec, CpaAlgo, DefenseSpec, JobOutcome, ScenarioMatrix,
-    ScenarioSpec,
+    AttackSpec, Campaign, CampaignLimits, CampaignProgress, CampaignSpec, CpaAlgo, DefenseSpec,
+    JobOutcome, ScenarioMatrix, ScenarioSpec,
 };
-use clockmark_corpus::ManifestEntry;
+use clockmark_corpus::{Corpus, ManifestEntry, TraceHeader};
 use clockmark_cpa::{DetectionResult, SequentialOptions};
 use clockmark_obs::json::{self, Json};
 use std::fmt::Debug;
@@ -120,6 +122,14 @@ fn campaign_specs(v: u64) -> [CampaignSpec; 3] {
     [fixed, sequential, scenario]
 }
 
+/// A fleet shard's spec: the fixed one with global job ids `0` and `v`.
+fn shard_spec(v: u64) -> CampaignSpec {
+    CampaignSpec {
+        job_ids: Some(vec![0, v as usize]),
+        ..campaign_specs(v)[0].clone()
+    }
+}
+
 /// Every attack kind, in the default order, with integers `v`.
 fn attacks(v: u64) -> Vec<AttackSpec> {
     vec![
@@ -161,9 +171,9 @@ fn matrix(v: u64) -> ScenarioMatrix {
     matrix.defenses = defenses(v);
     matrix.snrs = vec![0.5, 0.25, 1.0];
     matrix.seed = v;
-    matrix.checkpoint_cycles = v;
-    matrix.chunk_cycles = v as usize;
-    matrix.algo = CpaAlgo::Fft;
+    matrix.base.checkpoint_cycles = v;
+    matrix.base.chunk_cycles = v as usize;
+    matrix.base.algo = CpaAlgo::Fft;
     matrix
 }
 
@@ -224,6 +234,7 @@ fn integers_round_trip_exactly_over_the_full_u64_range() {
         for spec in campaign_specs(v) {
             assert_round_trips(&spec);
         }
+        assert_round_trips(&shard_spec(v));
         assert_round_trips(&matrix(v));
         attacks(v).iter().for_each(assert_round_trips);
         defenses(v).iter().for_each(assert_round_trips);
@@ -389,6 +400,15 @@ fn one_policy_refuses_ill_typed_values_by_their_path() {
                 "scenario.amplitude_watts",
                 "scenario.noise_watts",
             ],
+        },
+        &mut failures,
+    );
+    check_policy(
+        &shard_spec(v),
+        Fields {
+            integers: &["job_ids[0]", "job_ids[1]"],
+            seeds: &[],
+            floats: &[],
         },
         &mut failures,
     );
@@ -581,4 +601,107 @@ fn byte_mutants_decode_or_err_and_every_accepted_one_is_a_fixed_point() {
     fuzz(&progress(v), &mut rng);
     fuzz(&matrix(v), &mut rng);
     fuzz(&manifest(v), &mut rng);
+    fuzz(&shard_spec(v), &mut rng);
+}
+
+/// Mutants per runnable spec in the stateful harness: fixed with the
+/// seed, and small enough for a few seconds in a debug build.
+const RUNS_PER_SPEC: usize = 600;
+
+/// Runnable specs over a two-trace corpus at `corpus`: fixed, sequential,
+/// one scenario per defense kind (each under a different attack, below
+/// nominal SNR) and one with job ids.
+fn runnable_specs(corpus: &std::path::Path) -> Vec<CampaignSpec> {
+    let mut fixed = CampaignSpec::new(corpus, pattern(), vec!["a".into(), "b".into()]);
+    fixed.checkpoint_cycles = 64;
+    fixed.chunk_cycles = 32;
+    fixed.algo = CpaAlgo::Folded;
+    let scenario = |attack, defense| {
+        fixed.clone().with_scenario(ScenarioSpec {
+            attack,
+            defense,
+            snr: 0.5,
+            noise_watts: 0.5,
+            seed: 3,
+            ..ScenarioSpec::default()
+        })
+    };
+    let attacks = attacks(40);
+    let mut specs = vec![
+        fixed.clone(),
+        fixed.clone().with_sequential(SequentialOptions::every(64)),
+        scenario(attacks[0].clone(), DefenseSpec::None),
+        scenario(
+            attacks[4].clone(),
+            DefenseSpec::MultiWatermark {
+                extra_widths: vec![5],
+            },
+        ),
+        scenario(
+            attacks[2].clone(),
+            DefenseSpec::SeedHopping { dwell_cycles: 84 },
+        ),
+        scenario(
+            attacks[5].clone(),
+            DefenseSpec::ChallengeResponse { phase_delta: 5 },
+        ),
+    ];
+    specs.push(CampaignSpec {
+        job_ids: Some(vec![3, 9]),
+        ..fixed
+    });
+    specs
+}
+
+#[test]
+fn byte_mutated_specs_that_decode_run_to_ok_or_err() {
+    let root = std::env::temp_dir().join(format!("cm_persisted_run_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let mut corpus = Corpus::create(root.join("corpus")).expect("creates");
+    for (name, seed) in [("a", 1u64), ("b", 2)] {
+        let mut rng = Rng(seed);
+        let bits = pattern();
+        let trace: Vec<f64> = (0..300)
+            .map(|i| f64::from(u8::from(bits[i % bits.len()])) + (rng.next() >> 11) as f64 / 2e15)
+            .collect();
+        corpus
+            .add(name, TraceHeader::bare(0), &trace)
+            .expect("adds");
+    }
+    let mut rng = Rng(0x5741_7E00);
+    let (mut decoded, mut ran) = (0, 0);
+    for spec in runnable_specs(&root.join("corpus")) {
+        let dir = root.join("campaign");
+        std::fs::remove_dir_all(&dir).ok();
+        let campaign = Campaign::create(&dir, spec.clone()).expect("creates");
+        let status = campaign.with_threads(1).run(&CampaignLimits::none());
+        assert!(status.expect("the unmutated spec runs").is_complete());
+
+        let original = spec.encode().into_bytes();
+        for _ in 0..RUNS_PER_SPEC {
+            let mut bytes = original.clone();
+            mutate(&mut bytes, &mut rng);
+            let Ok(spec) = String::from_utf8(bytes)
+                .map_err(|e| e.to_string())
+                .and_then(|text| CampaignSpec::decode(&text).map_err(|e| e.to_string()))
+            else {
+                continue;
+            };
+            decoded += 1;
+            std::fs::remove_dir_all(&dir).ok();
+            if let Ok(campaign) = Campaign::create(&dir, spec) {
+                ran += usize::from(
+                    campaign
+                        .with_threads(1)
+                        .run(&CampaignLimits::none())
+                        .is_ok(),
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+    assert!(
+        ran > 0 && ran < decoded,
+        "{ran} of {decoded} decoded mutants ran"
+    );
 }

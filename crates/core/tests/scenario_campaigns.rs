@@ -89,8 +89,8 @@ fn build_corpus(
 fn matrix(corpus_dir: &Path, pattern: &[bool], names: &[String], seed: u64) -> ScenarioMatrix {
     let mut matrix = ScenarioMatrix::new(corpus_dir, pattern.to_vec(), names.to_vec());
     matrix.seed = seed;
-    matrix.checkpoint_cycles = 1_000;
-    matrix.chunk_cycles = 256;
+    matrix.base.checkpoint_cycles = 1_000;
+    matrix.base.chunk_cycles = 256;
     // Amplitudes on the synthetic fixture's scale, not the chip's.
     matrix.amplitude_watts = 1.0;
     matrix.noise_watts = 0.5;
@@ -121,10 +121,10 @@ fn assert_identity_reproduces_plain(
     matrix.snrs = vec![1.0];
 
     let mut plain_spec = CampaignSpec::new(&corpus_dir, pattern.clone(), names.clone());
-    plain_spec.checkpoint_cycles = matrix.checkpoint_cycles;
-    plain_spec.chunk_cycles = matrix.chunk_cycles;
-    plain_spec.criterion = matrix.criterion;
-    plain_spec.algo = matrix.algo;
+    plain_spec.checkpoint_cycles = matrix.base.checkpoint_cycles;
+    plain_spec.chunk_cycles = matrix.base.chunk_cycles;
+    plain_spec.criterion = matrix.base.criterion;
+    plain_spec.algo = matrix.base.algo;
     let plain = Campaign::create(dir.0.join("plain"), plain_spec).expect("creates");
     plain.run(&CampaignLimits::none()).expect("runs");
 

@@ -35,6 +35,7 @@ use crate::hash::Ring;
 use crate::plan::{shard_dir, shard_spec, FleetPlan, ShardPlan};
 use clockmark::{Campaign, CampaignProgress, CampaignSpec, JobOutcome};
 use clockmark_corpus::Corpus;
+use clockmark_obs::json::{self, DecodeError, FromJson, Json, Record};
 use clockmark_serve::{Backoff, Client, WorkerHeartbeat};
 
 /// How a fleet campaign is split and supervised.
@@ -238,8 +239,9 @@ impl Scheduler {
 ///
 /// # Errors
 ///
-/// - [`FleetError::Config`] for an empty worker list, or a spec with a
-///   non-identity scenario (checked before anything is written).
+/// - [`FleetError::Config`] for an empty worker list (checked before
+///   anything is written) or a `fleet.json` that pins no usable shard
+///   count.
 /// - [`FleetError::WorkersLost`] when every worker died (or never
 ///   connected) with shards still pending; the directory stays
 ///   resumable.
@@ -256,13 +258,11 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     let campaign = if config.dir.join("campaign.json").exists() {
         Campaign::open(&config.dir)?
     } else {
-        ensure_shardable(&spec)?;
         Campaign::create(&config.dir, spec)?
     };
-    let spec = campaign.spec().clone();
-    ensure_shardable(&spec)?;
+    let spec = campaign.spec();
     let shards = persisted_shard_count(&config.dir, config.effective_shards())?;
-    let plan = FleetPlan::new(&spec, shards);
+    let plan = FleetPlan::new(spec, shards);
     let total_jobs = plan.total_jobs();
 
     // Outcomes already merged by an earlier (killed) coordinator run
@@ -276,7 +276,12 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     let mut done = BTreeSet::new();
     let mut pending = VecDeque::new();
     for shard in &plan.plans {
-        if shard.jobs.iter().all(|(index, _)| landed.contains(index)) {
+        if shard
+            .spec
+            .jobs()
+            .iter()
+            .all(|job| landed.contains(&job.index))
+        {
             done.insert(shard.shard_id);
         } else {
             pending.push_back(shard.shard_id);
@@ -293,7 +298,7 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
         let dir = shard_dir(&config.dir, shard.shard_id);
         fs::create_dir_all(&dir)
             .map_err(|e| FleetError::io(format!("creating {}", dir.display()), e))?;
-        corpus.subset_manifest(&shard.traces(), dir.join("manifest.jsonl"))?;
+        corpus.subset_manifest(&shard.spec.traces, dir.join("manifest.jsonl"))?;
     }
 
     let results = OpenOptions::new()
@@ -324,7 +329,7 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
 
     std::thread::scope(|scope| {
         for worker in &workers {
-            scope.spawn(|| work_loop(worker, config, &spec, &plan, &scheduler, &results));
+            scope.spawn(|| work_loop(worker, config, &plan, &scheduler, &results));
             scope.spawn(|| heartbeat_loop(worker, config, &scheduler));
         }
         supervise(config, &scheduler, total_jobs as u64);
@@ -348,7 +353,8 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     let report = campaign.report()?;
     let report_path = campaign.dir().join("report.json");
     write_atomic(&report_path, format!("{}\n", report.encode()).as_bytes())?;
-    publish_progress(campaign.dir(), total_jobs as u64, total_jobs as u64, 0.0);
+    let total = total_jobs as u64;
+    publish_progress_timed(campaign.dir(), total, total, 0.0, Duration::ZERO);
 
     Ok(FleetSummary {
         total_jobs,
@@ -361,24 +367,20 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     })
 }
 
-/// Scenario jobs seed their defense, attack and noise draws from the
-/// campaign-global job index, which a shard-local campaign does not
-/// know. Only the identity scenario, a plain streaming job, shards.
-fn ensure_shardable(spec: &CampaignSpec) -> Result<(), FleetError> {
-    match &spec.scenario {
-        Some(scenario) if !scenario.is_identity() => Err(FleetError::config(
-            "a non-identity scenario campaign cannot be sharded: \
-             its jobs seed from the campaign-global job index",
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// Reads the live fleet progress a coordinator (possibly in another
 /// process) last published into the fleet directory.
 pub fn read_progress(fleet_dir: &Path) -> Option<CampaignProgress> {
     let text = fs::read_to_string(fleet_dir.join("progress.json")).ok()?;
     CampaignProgress::decode(&text)
+}
+
+/// `fleet.json`: `{"shards":N}`, the shard count a fleet pins.
+struct ShardCount(u64);
+
+impl FromJson<'_> for ShardCount {
+    fn from_json(value: &Json, path: impl FnOnce() -> String) -> Result<Self, DecodeError> {
+        Ok(ShardCount(Record::from_json(value, path)?.req("shards")?))
+    }
 }
 
 /// The shard count is part of the fleet's identity: shard directories
@@ -387,17 +389,14 @@ pub fn read_progress(fleet_dir: &Path) -> Option<CampaignProgress> {
 fn persisted_shard_count(dir: &Path, requested: u64) -> Result<u64, FleetError> {
     let path = dir.join("fleet.json");
     match fs::read_to_string(&path) {
-        Ok(text) => {
-            let persisted = text
-                .split("\"shards\":")
-                .nth(1)
-                .and_then(|rest| rest.trim_start().split(['}', ',']).next())
-                .and_then(|num| num.trim().parse::<u64>().ok())
-                .ok_or_else(|| {
-                    FleetError::config(format!("unreadable shard count in {}", path.display()))
-                })?;
-            Ok(persisted)
-        }
+        Ok(text) => match json::decode(&text) {
+            Ok(ShardCount(0)) => Err(FleetError::config(format!(
+                "{} pins 0 shards; a fleet needs at least one",
+                path.display()
+            ))),
+            Ok(ShardCount(shards)) => Ok(shards),
+            Err(e) => Err(FleetError::config(format!("{}: {e}", path.display()))),
+        },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             write_atomic(&path, format!("{{\"shards\":{requested}}}\n").as_bytes())?;
             Ok(requested)
@@ -411,7 +410,6 @@ fn persisted_shard_count(dir: &Path, requested: u64) -> Result<u64, FleetError> 
 fn work_loop(
     worker: &str,
     config: &FleetConfig,
-    spec: &CampaignSpec,
     plan: &FleetPlan,
     scheduler: &Scheduler,
     results: &Mutex<File>,
@@ -420,10 +418,7 @@ fn work_loop(
     while let Some(shard_id) = scheduler.next_shard(worker) {
         let shard = plan.shard(shard_id).expect("scheduled shards are planned");
         let wire = shard_spec(
-            // `spec.corpus`/`dir` travel as strings; the plan already
-            // anchored them, so this cannot re-interpret paths.
-            config_dir(config),
-            spec,
+            &config.dir,
             shard,
             config.worker_threads,
             config.max_jobs_per_assign,
@@ -483,19 +478,12 @@ fn work_loop(
     }
 }
 
-/// The fleet directory, borrowed with the lifetime the plan helpers
-/// want.
-fn config_dir(config: &FleetConfig) -> &Path {
-    &config.dir
-}
-
 /// Whether every outcome line of a worker's answer decodes and names one
-/// of `shard`'s jobs. Anything else is a protocol fault, not data.
+/// of `shard`'s job ids. Anything else is a protocol fault, not data.
 fn answers_shard(outcomes: &str, shard: &ShardPlan) -> bool {
-    outcomes.lines().all(|line| {
-        JobOutcome::decode(line)
-            .is_ok_and(|outcome| shard.jobs.iter().any(|(index, _)| *index == outcome.index))
-    })
+    outcomes
+        .lines()
+        .all(|line| JobOutcome::decode(line).is_ok_and(|outcome| shard.spec.has_job(outcome.index)))
 }
 
 /// Appends not-yet-landed outcome lines to the merged `results.jsonl`.
@@ -532,15 +520,11 @@ fn merge_outcomes(outcomes: &str, state: &mut State, results: &Mutex<File>) {
 /// Connects (or reuses) the work connection to `worker`.
 fn connect<'c>(worker: &str, client: &'c mut Option<Client>) -> Result<&'c mut Client, String> {
     if client.is_none() {
-        let mut backoff = Backoff::new(fnv_seed(worker));
+        let mut backoff = Backoff::new(crate::hash::fnv1a64(worker.as_bytes()));
         *client =
             Some(Client::connect_with_backoff(worker, &mut backoff, 8).map_err(|e| e.to_string())?);
     }
     Ok(client.as_mut().expect("just connected"))
-}
-
-fn fnv_seed(worker: &str) -> u64 {
-    crate::hash::fnv1a64(worker.as_bytes())
 }
 
 /// One worker's heartbeat connection: poll liveness and shard progress,
@@ -647,10 +631,6 @@ fn aggregate(state: &State, total: u64) -> FleetProgress {
         workers_alive: state.workers_alive(),
         cycles_per_sec,
     }
-}
-
-fn publish_progress(dir: &Path, done: u64, total: u64, cycles_per_sec: f64) {
-    publish_progress_timed(dir, done, total, cycles_per_sec, Duration::ZERO);
 }
 
 /// Writes the fleet's aggregated `progress.json` in the exact shape the
@@ -803,6 +783,53 @@ mod tests {
         assert_eq!(persisted_shard_count(&dir, 12).expect("first"), 12);
         // A later run asking for a different count gets the pinned one.
         assert_eq!(persisted_shard_count(&dir, 99).expect("second"), 12);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fleet_json_decodes_through_the_typed_reader() {
+        let dir = std::env::temp_dir().join(format!(
+            "cm_fleet_json_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::create_dir_all(&dir).expect("mkdir");
+        assert_eq!(persisted_shard_count(&dir, 12).expect("first"), 12);
+        assert_eq!(
+            fs::read_to_string(dir.join("fleet.json")).expect("reads"),
+            "{\"shards\":12}\n"
+        );
+        for hostile in ["\"4\"", "4.0", "-1", "0"] {
+            fs::write(
+                dir.join("fleet.json"),
+                format!("{{\"shards\":{hostile}}}\n"),
+            )
+            .expect("writes");
+            let err = persisted_shard_count(&dir, 12).expect_err(hostile);
+            assert!(
+                matches!(&err, FleetError::Config { message } if message.contains("shards")),
+                "{hostile}: {err}"
+            );
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A persisted count of 0 is refused before any shard is planned or
+    /// any worker contacted.
+    #[test]
+    fn a_zero_shard_fleet_json_is_a_config_error() {
+        let dir = std::env::temp_dir().join(format!(
+            "cm_fleet_zero_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join("fleet.json"), "{\"shards\":0}\n").expect("writes");
+        let spec = CampaignSpec::new("/nonexistent", vec![true, false, true], vec!["t".into()]);
+        let config = FleetConfig::new(&dir, vec!["127.0.0.1:9".to_owned()]);
+        let err = run_fleet(&config, spec).expect_err("zero shards");
+        assert!(matches!(err, FleetError::Config { .. }), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,26 +11,26 @@
 //!   stays put, so a mostly-warm fleet stays warm.
 //! - **Shards are campaigns.** Each shard directory under
 //!   `<fleet>/shards/shard_<k>/` is a full mini-campaign over its trace
-//!   subset ([`plan`]): the PR-3 checkpoint machinery applies verbatim,
-//!   so a worker SIGKILLed mid-trace leaves a checkpoint that *any*
-//!   other worker resumes byte-identically.
-//! - **The merged report is byte-identical.** Job outcomes carry their
-//!   campaign-global indices over the wire; the coordinator merges them
-//!   into one `results.jsonl` and writes the same `report.json` a
-//!   single-node run of the same spec would have written
-//!   ([`coordinator`]).
+//!   subset ([`plan`]): the campaign checkpoint machinery applies
+//!   verbatim, so a worker SIGKILLed mid-trace leaves a checkpoint that
+//!   *any* other worker resumes byte-identically.
+//! - **The merged report is byte-identical.** A shard's spec carries its
+//!   jobs' campaign-global ids, so its outcomes come back numbered as on
+//!   one node; the coordinator merges them into one `results.jsonl` and
+//!   writes the same `report.json` a single-node run of the same spec
+//!   would have written ([`coordinator`]).
 //! - **Stragglers get stolen, corpses get reaped.** More shards than
 //!   workers means an idle worker steals pending shards preferred
 //!   elsewhere; missed heartbeats or a dropped work connection requeue
 //!   a dead worker's shard for the survivors.
 //! - **Shards carry the spec.** A `ShardAssign` frame carries the
-//!   shard's whole [`CampaignSpec`](clockmark::CampaignSpec) — the fleet
-//!   spec narrowed to the shard's traces — so fixed-budget and
-//!   sequential campaigns shard with no fleet-specific code. A
-//!   non-identity scenario is refused: its jobs seed from the
-//!   campaign-global job index, which a shard does not know.
+//!   shard's whole [`CampaignSpec`](clockmark::CampaignSpec): the fleet
+//!   spec narrowed to the shard's traces and their global `job_ids`. So
+//!   fixed-budget, sequential and scenario campaigns shard with no
+//!   fleet-specific code, and a scenario job seeds from its global id
+//!   exactly as on one node.
 //!
-//! The wire protocol is plain CMRPC1 version 6 (`ShardAssign` /
+//! The wire protocol is plain CMRPC1 version 7 (`ShardAssign` /
 //! `ShardResult` / `Heartbeat` frames, see `docs/fleet.md`): a fleet
 //! worker is just a `clockmark-serve` server with a [`ShardWorker`]
 //! installed, and keeps answering ping / status / detect / metrics like

@@ -1,34 +1,27 @@
 //! Turning one campaign spec into a set of shard campaigns.
 //!
 //! A [`FleetPlan`] is a pure function of the campaign spec and the
-//! shard count: every trace keeps its *campaign-global* job index (its
-//! position in `spec.traces`, exactly as a single-node run numbers it)
-//! and lands in the shard [`shard_of_trace`] names. Workers never see
-//! the global campaign — they run the shard directory as an ordinary
-//! mini-campaign — so the plan also carries the global index of each
-//! shard-local job, which is what rides the wire in
-//! [`ShardSpec::jobs`] and lets the coordinator merge results under
-//! single-node numbering.
+//! shard count: every trace lands in the shard [`shard_of_trace`] names,
+//! and each shard is the fleet spec narrowed to its traces and their
+//! *campaign-global* job ids (exactly as a single-node run numbers them).
+//! Workers run that spec as an ordinary campaign, so its checkpoints,
+//! results lines and scenario seeds carry the single-node numbers, and
+//! the coordinator merges results without any remapping.
 
 use crate::hash::shard_of_trace;
-use clockmark::CampaignSpec;
+use clockmark::{CampaignSpec, JobSpec};
 use clockmark_serve::ShardSpec;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// One shard of a fleet campaign: a stable id plus the jobs it covers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One shard of a fleet campaign: a stable id plus the spec it runs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     /// The shard's stable id (hash bucket), in `0..plan.shards`.
     pub shard_id: u64,
-    /// The shard's jobs as `(global_index, trace)` in global order.
-    pub jobs: Vec<(usize, String)>,
-}
-
-impl ShardPlan {
-    /// The shard's trace names, in shard-local job order.
-    pub fn traces(&self) -> Vec<String> {
-        self.jobs.iter().map(|(_, t)| t.clone()).collect()
-    }
+    /// The fleet spec narrowed to the shard's traces and their global
+    /// job ids, in global order.
+    pub spec: CampaignSpec,
 }
 
 /// The full shard decomposition of one campaign spec.
@@ -42,24 +35,32 @@ pub struct FleetPlan {
 }
 
 impl FleetPlan {
-    /// Buckets every trace of `spec` into `shards` shards.
+    /// Buckets every job of `spec` into `shards` shards. Only non-empty
+    /// buckets are held, so the plan grows with the trace count whatever
+    /// the shard count.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero (like [`shard_of_trace`]).
     pub fn new(spec: &CampaignSpec, shards: u64) -> Self {
-        let mut buckets: Vec<Vec<(usize, String)>> = vec![Vec::new(); shards as usize];
-        for (index, trace) in spec.traces.iter().enumerate() {
-            let shard = shard_of_trace(trace, shards) as usize;
-            buckets[shard].push((index, trace.clone()));
+        let mut buckets: BTreeMap<u64, Vec<JobSpec>> = BTreeMap::new();
+        for job in spec.jobs() {
+            let shard = shard_of_trace(&job.trace, shards);
+            buckets.entry(shard).or_default().push(job);
         }
+        let template = CampaignSpec {
+            traces: Vec::new(),
+            ..spec.clone()
+        };
         let plans = buckets
             .into_iter()
-            .enumerate()
-            .filter(|(_, jobs)| !jobs.is_empty())
             .map(|(shard_id, jobs)| ShardPlan {
-                shard_id: shard_id as u64,
-                jobs,
+                shard_id,
+                spec: CampaignSpec {
+                    job_ids: Some(jobs.iter().map(|job| job.index).collect()),
+                    traces: jobs.into_iter().map(|job| job.trace).collect(),
+                    ..template.clone()
+                },
             })
             .collect();
         FleetPlan { shards, plans }
@@ -67,7 +68,7 @@ impl FleetPlan {
 
     /// Total jobs across all shards.
     pub fn total_jobs(&self) -> usize {
-        self.plans.iter().map(|p| p.jobs.len()).sum()
+        self.plans.iter().map(|p| p.spec.traces.len()).sum()
     }
 
     /// The shard plan with id `shard_id`, if it is non-empty.
@@ -82,34 +83,26 @@ pub fn shard_dir(fleet_dir: &Path, shard_id: u64) -> PathBuf {
 }
 
 /// Builds the wire [`ShardSpec`] that asks a worker to run `shard` of
-/// the fleet campaign `spec` rooted at `fleet_dir`: the spec itself,
-/// with its traces narrowed to the shard's jobs, plus their global
-/// indices.
+/// the fleet campaign rooted at `fleet_dir`.
 ///
 /// `threads`, `max_jobs` and `interrupt_after_cycles` are passed through
 /// (zero means "no override" for each, mirroring the frame layout).
 pub fn shard_spec(
     fleet_dir: &Path,
-    spec: &CampaignSpec,
     shard: &ShardPlan,
     threads: u32,
     max_jobs: u64,
     interrupt_after_cycles: u64,
 ) -> ShardSpec {
-    let campaign = CampaignSpec {
-        traces: shard.traces(),
-        ..spec.clone()
-    };
     ShardSpec {
         shard_id: shard.shard_id,
         dir: shard_dir(fleet_dir, shard.shard_id)
             .to_string_lossy()
             .into_owned(),
-        campaign: campaign.encode(),
+        campaign: shard.spec.encode(),
         threads,
         max_jobs,
         interrupt_after_cycles,
-        jobs: shard.jobs.iter().map(|(index, _)| *index as u64).collect(),
     }
 }
 
@@ -134,15 +127,15 @@ mod tests {
         assert_eq!(plan.total_jobs(), traces.len());
         let mut seen = vec![false; traces.len()];
         for shard in &plan.plans {
-            for (index, trace) in &shard.jobs {
-                assert_eq!(traces[*index], trace, "global index points at its trace");
+            for JobSpec { index, trace } in shard.spec.jobs() {
+                assert_eq!(traces[index], trace, "global index points at its trace");
                 assert_eq!(
                     shard.shard_id,
-                    shard_of_trace(trace, 4),
+                    shard_of_trace(&trace, 4),
                     "job sits in its hash bucket"
                 );
-                assert!(!seen[*index], "job {index} appears twice");
-                seen[*index] = true;
+                assert!(!seen[index], "job {index} appears twice");
+                seen[index] = true;
             }
         }
         assert!(seen.iter().all(|&s| s), "every job is planned");
@@ -153,7 +146,21 @@ mod tests {
         let plan = FleetPlan::new(&spec(&["only"]), 64);
         assert_eq!(plan.plans.len(), 1);
         assert_eq!(plan.total_jobs(), 1);
-        assert_eq!(plan.shard(plan.plans[0].shard_id).unwrap().jobs.len(), 1);
+        assert_eq!(
+            plan.shard(plan.plans[0].shard_id)
+                .unwrap()
+                .spec
+                .traces
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn the_plan_grows_with_the_traces_not_the_shard_count() {
+        let plan = FleetPlan::new(&spec(&["only"]), u64::MAX);
+        assert_eq!(plan.plans.len(), 1);
+        assert_eq!(plan.plans[0].spec.job_ids, Some(vec![0]));
     }
 
     #[test]
@@ -161,28 +168,30 @@ mod tests {
         let spec0 =
             spec(&["a", "b", "c"]).with_sequential(clockmark_cpa::SequentialOptions::every(2_048));
         let plan = FleetPlan::new(&spec0, 1);
-        let wire = shard_spec(Path::new("/work/fleet"), &spec0, &plan.plans[0], 2, 0, 0);
+        let wire = shard_spec(Path::new("/work/fleet"), &plan.plans[0], 2, 0, 0);
         assert_eq!(wire.shard_id, 0);
         assert_eq!(wire.dir, "/work/fleet/shards/shard_0");
         // One shard holds every job in global order: its spec is the
         // fleet spec, flavour and kernel included.
         assert_eq!(
             CampaignSpec::decode(&wire.campaign).expect("decodes"),
-            spec0
+            CampaignSpec {
+                job_ids: Some(vec![0, 1, 2]),
+                ..spec0.clone()
+            }
         );
         assert_eq!(wire.threads, 2);
-        assert_eq!(wire.jobs, vec![0, 1, 2]);
 
         // With more shards each spec lists only its own traces, aligned
         // with the global indices.
         let plan = FleetPlan::new(&spec0, 64);
         for shard in &plan.plans {
-            let wire = shard_spec(Path::new("/f"), &spec0, shard, 0, 0, 0);
+            let wire = shard_spec(Path::new("/f"), shard, 0, 0, 0);
             let narrowed = CampaignSpec::decode(&wire.campaign).expect("decodes");
-            assert_eq!(narrowed.traces, shard.traces());
+            assert_eq!(narrowed, shard.spec);
             assert_eq!(narrowed.sequential, spec0.sequential);
-            for (index, trace) in wire.jobs.iter().zip(&narrowed.traces) {
-                assert_eq!(&spec0.traces[*index as usize], trace);
+            for job in narrowed.jobs() {
+                assert_eq!(spec0.traces[job.index], job.trace);
             }
         }
     }

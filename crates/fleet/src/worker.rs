@@ -108,7 +108,7 @@ impl ShardWorker {
         *self.in_flight.lock().unwrap_or_else(|e| e.into_inner()) = Some(InFlight {
             shard_id: spec.shard_id,
             dir: dir.clone(),
-            jobs_total: spec.jobs.len() as u64,
+            jobs_total: campaign_spec.traces.len() as u64,
         });
 
         let limits = CampaignLimits {
@@ -120,15 +120,9 @@ impl ShardWorker {
         *self.in_flight.lock().unwrap_or_else(|e| e.into_inner()) = None;
         let status = run?;
 
-        // Remap shard-local job indices to the campaign-global ones the
-        // coordinator merges by (in range: the results log only admits
-        // indices below `traces.len()`, which equals `jobs.len()`); sort
-        // so the payload is deterministic.
-        let mut outcomes = campaign.completed_outcomes()?;
-        for outcome in &mut outcomes {
-            outcome.index = spec.jobs[outcome.index] as usize;
-        }
-        outcomes.sort_by_key(|o| o.index);
+        // The shard spec carries the global job ids, so the outcomes are
+        // already numbered, in order, as the coordinator merges them.
+        let outcomes = campaign.completed_outcomes()?;
         let mut text = String::with_capacity(outcomes.len() * 160);
         for outcome in &outcomes {
             text.push_str(&outcome.encode());
@@ -156,21 +150,12 @@ impl FleetService for ShardWorker {
                 format!("shard {}: {message}", spec.shard_id),
             )
         };
-        if spec.jobs.is_empty() {
-            return Err(malformed("carries no jobs".to_owned()));
-        }
-        // A spec that decodes but fails validation (an oversized read
-        // chunk, say) is the assignment's fault too, not the worker's.
+        // A spec that decodes but fails validation (no traces, job ids
+        // that disagree with them, an oversized read chunk) is the
+        // assignment's fault too, not the worker's.
         let campaign_spec = CampaignSpec::decode(&spec.campaign)
             .and_then(|s| s.validate().map(|()| s))
             .map_err(|e| malformed(e.to_string()))?;
-        if campaign_spec.traces.len() != spec.jobs.len() {
-            return Err(malformed(format!(
-                "{} job indices for {} traces",
-                spec.jobs.len(),
-                campaign_spec.traces.len()
-            )));
-        }
         self.run_shard(spec, campaign_spec).map_err(|e| {
             let code = match &e {
                 CampaignError::Corpus(_) => ErrorCode::Corpus,
@@ -243,7 +228,6 @@ mod tests {
             threads: 0,
             max_jobs: 0,
             interrupt_after_cycles: 0,
-            jobs: Vec::new(),
         };
         let (code, message) = worker.assign(&spec).expect_err("no jobs");
         assert_eq!(code, ErrorCode::Malformed);
@@ -269,7 +253,6 @@ mod tests {
                 threads: 1,
                 max_jobs: 0,
                 interrupt_after_cycles: 0,
-                jobs: vec![0],
             };
             let (code, message) = worker.assign(&spec).expect_err("oversized chunk");
             assert_eq!(code, ErrorCode::Malformed, "{hostile}: {message}");

@@ -1,14 +1,14 @@
 //! End-to-end fleet contract over loopback, all in one process:
 //!
 //! 1. the merged fleet `report.json` is byte-identical to a single-node
-//!    run of the same campaign spec, fixed-budget or sequential;
+//!    run of the same campaign spec, fixed-budget, sequential or under a
+//!    non-identity scenario;
 //! 2. a worker address that never answers does not sink the fleet —
 //!    its shards are reassigned to the survivors;
 //! 3. interrupted shard assignments (the straggler/test hook) are
 //!    requeued and drained to the same bytes;
-//! 4. specs a shard cannot reproduce are refused: a non-identity
-//!    scenario by the coordinator, a wire spec that disagrees with the
-//!    shard directory by the worker;
+//! 4. a worker refuses a wire spec that disagrees with the shard
+//!    directory, or whose job ids disagree with its traces;
 //! 5. a worker whose answer holds lines that are not its shard's
 //!    outcomes is buried, and its shard stays pending.
 
@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clockmark::{Campaign, CampaignLimits, CampaignSpec, JobOutcome, ScenarioSpec};
+use clockmark::{Campaign, CampaignLimits, CampaignSpec, DefenseSpec, JobOutcome, ScenarioSpec};
 use clockmark_corpus::{Corpus, TraceHeader};
 use clockmark_cpa::SequentialOptions;
 use clockmark_fleet::{run_fleet, FleetConfig, FleetError, ShardWorker};
@@ -112,13 +112,12 @@ fn reference_report(dir: &Path, spec: CampaignSpec) -> Vec<u8> {
 }
 
 /// Runs the same campaign single-node and across two workers, and
-/// requires byte-identical reports. `sequential` picks the flavour:
-/// `None` for fixed-budget jobs, a schedule for early termination.
-fn assert_fleet_matches_single_node(tag: &str, sequential: Option<SequentialOptions>) {
+/// requires byte-identical reports. `flavour` turns the fixture's
+/// fixed-budget spec into the flavour under test.
+fn assert_fleet_matches_single_node(tag: &str, flavour: fn(CampaignSpec) -> CampaignSpec) {
     let dir = TempDir::new(tag);
     let pattern = pattern();
-    let mut spec = build_fixture(&dir.0, &pattern, 5, 3_000);
-    spec.sequential = sequential;
+    let spec = flavour(build_fixture(&dir.0, &pattern, 5, 3_000));
     let reference = reference_report(&dir.0, spec.clone());
 
     let workers: Vec<ServerHandle> = (0..2).map(|_| spawn_worker()).collect();
@@ -128,7 +127,7 @@ fn assert_fleet_matches_single_node(tag: &str, sequential: Option<SequentialOpti
     config.shards = 4;
     config.worker_threads = 1;
     config.heartbeat_interval = Duration::from_millis(100);
-    let summary = run_fleet(&config, spec).expect("fleet completes");
+    let summary = run_fleet(&config, spec.clone()).expect("fleet completes");
     assert_eq!(summary.merged_jobs, summary.total_jobs);
     assert_eq!(summary.total_jobs, 6);
     assert!(summary.shards <= 4);
@@ -147,7 +146,20 @@ fn assert_fleet_matches_single_node(tag: &str, sequential: Option<SequentialOpti
     assert_eq!(progress.done, 6);
     assert_eq!(progress.total, 6);
 
-    if sequential.is_some() {
+    if spec.scenario.is_some() {
+        // Some shard's jobs start past id 0, so a scenario job seeded
+        // from its shard-local position would land different bytes.
+        let first_ids: Vec<usize> = fs::read_dir(dir.0.join("fleet").join("shards"))
+            .expect("lists shards")
+            .map(|entry| {
+                let shard = Campaign::open(entry.expect("entry").path()).expect("opens shard");
+                shard.spec().jobs()[0].index
+            })
+            .collect();
+        assert!(first_ids.iter().any(|&id| id != 0), "{first_ids:?}");
+    }
+
+    if spec.sequential.is_some() {
         // The shards ran the schedule: every marked job stopped early.
         let report = Campaign::open(dir.0.join("fleet"))
             .expect("opens")
@@ -168,27 +180,30 @@ fn assert_fleet_matches_single_node(tag: &str, sequential: Option<SequentialOpti
 
 #[test]
 fn fleet_report_is_byte_identical_to_single_node() {
-    assert_fleet_matches_single_node("identity", None);
+    assert_fleet_matches_single_node("identity", |spec| spec);
 }
 
 #[test]
 fn sequential_fleet_report_is_byte_identical_to_single_node() {
-    assert_fleet_matches_single_node("sequential", Some(SequentialOptions::every(1_024)));
+    assert_fleet_matches_single_node("sequential", |spec| {
+        spec.with_sequential(SequentialOptions::every(1_024))
+    });
 }
 
+/// Below nominal SNR the noise stage draws from each job's seed, so
+/// every outcome's bytes depend on the job's global id.
 #[test]
-fn a_non_identity_scenario_is_refused_before_anything_is_written() {
-    let dir = TempDir::new("scenario");
-    let pattern = pattern();
-    let spec = build_fixture(&dir.0, &pattern, 1, 1_000).with_scenario(ScenarioSpec {
-        snr: 0.5,
-        ..ScenarioSpec::default()
+fn scenario_fleet_report_is_byte_identical_to_single_node() {
+    assert_fleet_matches_single_node("scenario", |spec| {
+        spec.with_scenario(ScenarioSpec {
+            defense: DefenseSpec::ChallengeResponse { phase_delta: 17 },
+            snr: 0.5,
+            amplitude_watts: 1.0,
+            noise_watts: 0.5,
+            seed: 0x5eed,
+            ..ScenarioSpec::default()
+        })
     });
-    // Refused before any worker is contacted, so none need exist.
-    let config = FleetConfig::new(dir.0.join("fleet"), vec!["127.0.0.1:9".to_owned()]);
-    let err = run_fleet(&config, spec).expect_err("scenario fleets are refused");
-    assert!(matches!(err, FleetError::Config { .. }), "{err}");
-    assert!(!dir.0.join("fleet").join("campaign.json").exists());
 }
 
 #[test]
@@ -218,7 +233,6 @@ fn a_worker_refuses_a_shard_directory_holding_another_campaign() {
         threads: 1,
         max_jobs: 0,
         interrupt_after_cycles: 0,
-        jobs: vec![0, 1],
     };
     let (_, message) = worker.assign(&assignment).expect_err("spec mismatch");
     assert!(message.contains("different campaign"), "{message}");
@@ -230,7 +244,11 @@ fn a_worker_refuses_a_shard_directory_holding_another_campaign() {
     };
     assert_eq!(worker.assign(&garbled).unwrap_err().0, ErrorCode::Malformed);
     let short = ShardSpec {
-        jobs: vec![0],
+        campaign: CampaignSpec {
+            job_ids: Some(vec![0]),
+            ..narrowed
+        }
+        .encode(),
         ..assignment
     };
     assert_eq!(worker.assign(&short).unwrap_err().0, ErrorCode::Malformed);
@@ -284,7 +302,7 @@ fn interrupted_assignments_drain_to_the_same_bytes() {
     // before draining.
     config.max_jobs_per_assign = 1;
     config.interrupt_after_cycles = 700;
-    let summary = run_fleet(&config, spec).expect("fleet completes");
+    let summary = run_fleet(&config, spec.clone()).expect("fleet completes");
     assert_eq!(summary.merged_jobs, summary.total_jobs);
 
     let merged = fs::read(&summary.report_path).expect("reads merged");

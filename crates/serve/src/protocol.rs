@@ -80,7 +80,9 @@ pub const MAGIC: [u8; 6] = *b"CMRPC1";
 /// every exchange and `DetectCorpus` answer with one `Verdict` frame,
 /// the v4 start and result frames (`0x0C`, `0x0D`, `0x89`, `0x8A`) are
 /// retired, and a failed exchange answers once, at `DetectFinish`.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// Version 7 dropped `ShardAssign`'s list of fleet-wide job indices: the
+/// shard's campaign spec carries them as its `job_ids`.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Frame-type byte of the error frame (valid in either direction).
 pub const FRAME_ERROR: u8 = 0x7F;
@@ -238,8 +240,7 @@ pub enum Request {
 }
 
 /// Everything a worker needs to run one campaign shard: where the shard
-/// campaign lives on (shared) disk, what the shard campaign is, and the
-/// fleet-wide index of each of its jobs.
+/// campaign lives on (shared) disk and what the shard campaign is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Stable shard identifier (the consistent-hash bucket).
@@ -249,9 +250,10 @@ pub struct ShardSpec {
     /// worker death resumes from whatever the dead worker had saved.
     pub dir: String,
     /// The shard's campaign spec, as `CampaignSpec::encode` JSON: the
-    /// fleet campaign with its traces narrowed to this shard's jobs, in
-    /// shard-local order. It pins the spectrum kernel the coordinator
-    /// resolved, so every worker runs the same arithmetic.
+    /// fleet campaign narrowed to this shard's traces and their
+    /// fleet-wide `job_ids`, which the merged report is keyed by. It pins
+    /// the spectrum kernel the coordinator resolved, so every worker runs
+    /// the same arithmetic.
     pub campaign: String,
     /// Worker threads for this shard (0 = worker default).
     pub threads: u32,
@@ -261,9 +263,6 @@ pub struct ShardSpec {
     /// Interrupt each job after this many ingested cycles (0 = none) —
     /// test hook mirroring `CampaignLimits::interrupt_job_after_cycles`.
     pub interrupt_after_cycles: u64,
-    /// The *fleet-wide* index of each shard-local job (`jobs[i]` belongs
-    /// to the spec's `traces[i]`): what the merged report is keyed by.
-    pub jobs: Vec<u64>,
 }
 
 /// A worker's heartbeat: liveness plus live progress of the shard it is
@@ -537,10 +536,6 @@ fn put_shard_spec(out: &mut Vec<u8>, s: &ShardSpec) {
     put_u32(out, s.threads);
     put_u64(out, s.max_jobs);
     put_u64(out, s.interrupt_after_cycles);
-    put_u32(out, s.jobs.len() as u32);
-    for &index in &s.jobs {
-        put_u64(out, index);
-    }
 }
 
 fn put_heartbeat(out: &mut Vec<u8>, h: &WorkerHeartbeat) {
@@ -736,25 +731,13 @@ impl<'a> Cursor<'a> {
     }
 
     fn shard_spec(&mut self) -> Result<ShardSpec, ServeError> {
-        let shard_id = self.u64()?;
-        let dir = self.string()?;
-        let campaign = self.string()?;
-        let threads = self.u32()?;
-        let max_jobs = self.u64()?;
-        let interrupt_after_cycles = self.u64()?;
-        let count = self.u32()? as usize;
-        let mut jobs = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            jobs.push(self.u64()?);
-        }
         Ok(ShardSpec {
-            shard_id,
-            dir,
-            campaign,
-            threads,
-            max_jobs,
-            interrupt_after_cycles,
-            jobs,
+            shard_id: self.u64()?,
+            dir: self.string()?,
+            campaign: self.string()?,
+            threads: self.u32()?,
+            max_jobs: self.u64()?,
+            interrupt_after_cycles: self.u64()?,
         })
     }
 
@@ -1157,7 +1140,6 @@ mod tests {
             threads: 1,
             max_jobs: 0,
             interrupt_after_cycles: 10_000,
-            jobs: vec![2, 7],
         }));
     }
 
@@ -1389,7 +1371,7 @@ mod tests {
         assert!(Request::decode(FRAME_TRACE_CONTEXT, &[0u8; 15]).is_err());
         // Trace echo with trailing bytes.
         assert!(Response::decode(FRAME_TRACE_ECHO, &[0u8; 25]).is_err());
-        // A shard spec's job list may not run past the payload.
+        // A shard spec may not run past the payload.
         let (ty, payload) = Request::ShardAssign(ShardSpec {
             shard_id: 0,
             dir: "d".into(),
@@ -1397,7 +1379,6 @@ mod tests {
             threads: 1,
             max_jobs: 0,
             interrupt_after_cycles: 0,
-            jobs: vec![3],
         })
         .encode();
         assert!(Request::decode(ty, &payload).is_ok());

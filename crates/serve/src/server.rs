@@ -1276,9 +1276,7 @@ fn handle_request_inner(
             // Runs the whole shard before answering; the coordinator
             // holds this connection open as the shard's completion
             // signal and heartbeats on a separate one.
-            let span = clockmark_obs::span("serve.shard")
-                .field("shard_id", spec.shard_id)
-                .field("jobs", spec.jobs.len() as u64);
+            let span = clockmark_obs::span("serve.shard").field("shard_id", spec.shard_id);
             let outcome = fleet.assign(&spec);
             drop(span);
             match outcome {

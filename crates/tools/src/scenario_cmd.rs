@@ -111,10 +111,10 @@ pub fn cmd_scenario_status(dir: &Path) -> Result<String, ToolError> {
     let _ = writeln!(
         out,
         "corpus: {}, pattern period {}, {} trace(s) per cell, {} spectrum kernel",
-        matrix.corpus.display(),
-        matrix.pattern.len(),
-        matrix.traces.len(),
-        matrix.algo
+        matrix.base.corpus.display(),
+        matrix.base.pattern.len(),
+        matrix.base.traces.len(),
+        matrix.base.algo
     );
     let _ = writeln!(
         out,
@@ -247,7 +247,7 @@ pub fn cmd_scenario_template(
     }
     matrix.seed = options.seed;
     if options.lenient {
-        matrix.criterion = clockmark_cpa::DetectionCriterion::lenient();
+        matrix.base.criterion = clockmark_cpa::DetectionCriterion::lenient();
     }
     matrix.validate()?;
     Ok(format!("{}\n", matrix.encode()))
