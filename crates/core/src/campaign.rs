@@ -18,42 +18,25 @@
 //!   buffer of the whole trace, replayed through the attack/defense
 //!   pipeline at the end (see `docs/attacks.md`).
 //!
-//! Everything a campaign learns is persisted as it happens:
-//!
-//! ```text
-//! campaign/
-//!   campaign.json        # the spec, written once at creation (tmp+rename)
-//!   results.jsonl        # append-only completed-job outcomes (flushed per line)
-//!   progress.json        # live progress (tmp, remove, rename; may be absent)
-//!   checkpoints/
-//!     job_<idx>.ckpt     # binary mid-flight fold snapshots (tmp, remove, rename)
-//!     job_<idx>.tmp      # the next snapshot while it is written
-//!   report.json          # final report, written when the last job lands
-//! ```
-//!
-//! A checkpoint replaces its predecessor without renaming over it: the
-//! new snapshot is written to the temp name, the live file is removed,
-//! and the temp is renamed onto the now-free name, because renaming over
-//! a live file stalls in file-system write-back. A kill in between leaves
-//! the complete temp, which a restore falls back to, and a torn temp
-//! fails its CRC. `progress.json` is replaced the same way; the files
-//! that cannot validate themselves are still renamed over.
+//! Everything a campaign learns is persisted as it happens — the spec,
+//! each landed outcome, fold checkpoints, live progress and the report —
+//! each file through one protocol of [`clockmark_corpus::durable`]
+//! (`docs/corpus.md` lays the directory out).
 //!
 //! Kill the process at any instant — between jobs, mid-trace, even
-//! mid-append (the torn last line of `results.jsonl` is tolerated) — and
-//! [`Campaign::run`] picks up exactly where it stopped: completed jobs
-//! are skipped, checkpointed jobs resume from their snapshot (a
-//! sequential one re-derives its schedule from the absolute cycle count;
-//! a scenario job never checkpoints and replays whole), and because
-//! [`Session::push_chunk`] performs bit-for-bit the same
+//! mid-append — and [`Campaign::run`] picks up exactly where it stopped:
+//! completed jobs are skipped, checkpointed jobs resume from their
+//! snapshot (a sequential one re-derives its schedule from the absolute
+//! cycle count; a scenario job never checkpoints and replays whole), and
+//! because [`Session::push_chunk`] performs bit-for-bit the same
 //! accumulations as an uninterrupted fold, the final report is
 //! **byte-identical** to one produced without the interruption.
 
 use crate::attack::ScenarioSpec;
 use crate::batch::parallel_map;
 use crate::scenario::run_scenario_detection;
-use clockmark_corpus::codec;
-use clockmark_corpus::{Corpus, CorpusError, Crc32};
+use clockmark_corpus::durable::{self, Journal};
+use clockmark_corpus::{codec, Corpus, CorpusError, Crc32};
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectMode, DetectOptions, DetectionCriterion, DetectionResult, Detector,
     SequentialOptions, Session, StreamingCpaState,
@@ -61,8 +44,8 @@ use clockmark_cpa::{
 use clockmark_obs::json::{self, DecodeError, FromJson, Json, Record};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::{self, File, OpenOptions};
-use std::io::{ErrorKind, Write as _};
+use std::fs;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Mutex, PoisonError};
@@ -178,6 +161,12 @@ impl From<CpaError> for CampaignError {
 impl From<DecodeError> for CampaignError {
     fn from(e: DecodeError) -> Self {
         CampaignError::spec(e.to_string())
+    }
+}
+
+impl From<std::io::Error> for CampaignError {
+    fn from(source: std::io::Error) -> Self {
+        CampaignError::io("campaign directory", source)
     }
 }
 
@@ -703,19 +692,9 @@ impl Campaign {
     pub fn create(dir: impl Into<PathBuf>, spec: CampaignSpec) -> Result<Self, CampaignError> {
         let dir = dir.into();
         spec.validate()?;
-        let spec_path = dir.join("campaign.json");
-        if spec_path.exists() {
-            return Err(CampaignError::io(
-                format!("creating campaign at {}", dir.display()),
-                std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    "campaign.json already exists",
-                ),
-            ));
-        }
-        fs::create_dir_all(dir.join("checkpoints"))
-            .map_err(|e| CampaignError::io(format!("creating {}", dir.display()), e))?;
-        write_atomic(&spec_path, format!("{}\n", spec.encode()).as_bytes())?;
+        durable::create_dir_all(&dir.join("checkpoints"))?;
+        let text = format!("{}\n", spec.encode());
+        durable::publish_new(&dir.join("campaign.json"), text.as_bytes())?;
         Ok(Campaign {
             dir,
             spec,
@@ -763,10 +742,6 @@ impl Campaign {
         self.dir.join("results.jsonl")
     }
 
-    fn report_path(&self) -> PathBuf {
-        self.dir.join("report.json")
-    }
-
     fn progress_path(&self) -> PathBuf {
         self.dir.join("progress.json")
     }
@@ -776,8 +751,8 @@ impl Campaign {
     /// or malformed — progress is best-effort telemetry, never load-
     /// bearing state).
     pub fn live_progress(&self) -> Option<CampaignProgress> {
-        let text = fs::read_to_string(self.progress_path()).ok()?;
-        CampaignProgress::decode(&text)
+        let bytes = durable::read_replaced(&self.progress_path()).ok()?;
+        CampaignProgress::decode(std::str::from_utf8(&bytes).ok()?)
     }
 
     fn checkpoint_path(&self, index: usize) -> PathBuf {
@@ -789,61 +764,45 @@ impl Campaign {
     /// Whether a job has a checkpoint under either of its names.
     fn has_checkpoint(&self, index: usize) -> bool {
         let path = self.checkpoint_path(index);
-        path.exists() || temp_path(&path).exists()
+        path.exists() || durable::temp_path(&path).exists()
     }
 
     /// Removes a job's checkpoint under both of its names.
     fn remove_checkpoint(&self, index: usize) {
-        let path = self.checkpoint_path(index);
-        let _ = fs::remove_file(temp_path(&path));
-        let _ = fs::remove_file(path);
+        let _ = durable::remove_replaced(&self.checkpoint_path(index));
     }
 
     /// Loads the persisted outcomes, keyed by job index.
     ///
-    /// A torn *final* line — the signature a kill mid-append leaves — is
-    /// tolerated (that job simply reruns); malformed lines anywhere else
-    /// are real corruption and fail loudly. Duplicate indices keep the
-    /// last occurrence, so a crash between "append result" and "delete
-    /// checkpoint" (which makes the job rerun and re-append) stays
-    /// harmless.
+    /// The torn tail a kill mid-append leaves is ignored (that job simply
+    /// reruns, and its append cuts the tail first); a complete line that
+    /// does not decode is real corruption and fails, naming its line.
+    /// Duplicate indices keep the last occurrence.
     fn load_results(&self) -> Result<BTreeMap<usize, JobOutcome>, CampaignError> {
-        Ok(self.load_results_detailed()?.0)
-    }
-
-    /// [`load_results`](Campaign::load_results) plus whether a torn tail
-    /// was skipped — [`run`](Campaign::run) repairs the log in that case
-    /// so fresh appends never concatenate onto the garbage.
-    fn load_results_detailed(&self) -> Result<(BTreeMap<usize, JobOutcome>, bool), CampaignError> {
-        let path = self.results_path();
         let mut map = BTreeMap::new();
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((map, false)),
-            Err(e) => return Err(CampaignError::io(format!("reading {}", path.display()), e)),
+        let (text, torn) = match durable::read_journal(&self.results_path()) {
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(map),
+            read => read?,
         };
-        let mut torn = false;
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            match JobOutcome::decode(line) {
-                Ok(outcome) => {
-                    if !self.spec.has_job(outcome.index) {
-                        return Err(CampaignError::spec(format!(
-                            "results line {} names job {}, which the campaign does not have",
-                            i + 1,
-                            outcome.index
-                        )));
-                    }
-                    map.insert(outcome.index, outcome);
-                }
-                Err(_) if i + 1 == lines.len() => {
-                    torn = true;
-                    clockmark_obs::counter_add("campaign.torn_results_lines", 1);
-                }
-                Err(e) => return Err(e),
-            }
+        if torn {
+            clockmark_obs::counter_add("campaign.torn_results_lines", 1);
         }
-        Ok((map, torn))
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let outcome = json::decode::<JobOutcome>(line)
+                .map_err(|e| CampaignError::spec(format!("results line {}: {e}", i + 1)))?;
+            if !self.spec.has_job(outcome.index) {
+                return Err(CampaignError::spec(format!(
+                    "results line {} names job {}, which the campaign does not have",
+                    i + 1,
+                    outcome.index
+                )));
+            }
+            map.insert(outcome.index, outcome);
+        }
+        Ok(map)
     }
 
     /// The persisted outcomes so far, in job-index order — the public
@@ -931,18 +890,7 @@ impl Campaign {
             }
         }
 
-        let (completed, torn) = self.load_results_detailed()?;
-        if torn {
-            // A kill mid-append left a partial record without a trailing
-            // newline; rewrite the log from the intact records (atomic)
-            // so the rerun job's fresh line does not concatenate onto it.
-            let mut text = String::new();
-            for outcome in completed.values() {
-                text.push_str(&outcome.encode());
-                text.push('\n');
-            }
-            write_atomic(&self.results_path(), text.as_bytes())?;
-        }
+        let completed = self.load_results()?;
         // A crash between "append result" and "delete checkpoint" leaves a
         // stale snapshot behind; sweep those before claiming work.
         for index in completed.keys() {
@@ -959,13 +907,7 @@ impl Campaign {
         }
 
         if !pending.is_empty() {
-            let path = self.results_path();
-            let file = OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&path)
-                .map_err(|e| CampaignError::io(format!("opening {}", path.display()), e))?;
-            let results = Mutex::new(file);
+            let results = Journal::new(self.results_path());
             let board = ProgressBoard::new(
                 self.progress_path(),
                 self.spec.traces.len() as u64,
@@ -992,8 +934,8 @@ impl Campaign {
         let status = self.status()?;
         if status.is_complete() {
             let report = self.report()?;
-            write_atomic(
-                &self.report_path(),
+            durable::publish(
+                &self.dir.join("report.json"),
                 format!("{}\n", report.encode()).as_bytes(),
             )?;
         }
@@ -1029,7 +971,7 @@ impl Campaign {
         &self,
         corpus: &Corpus,
         job: &JobSpec,
-        results: &Mutex<File>,
+        results: &Journal,
         limits: &CampaignLimits,
         board: &ProgressBoard,
     ) -> Result<Option<JobOutcome>, CampaignError> {
@@ -1179,26 +1121,16 @@ impl Campaign {
 
     /// Appends a finished job's durable result line and retires its
     /// checkpoint. Ordering matters: the result lands first, then the
-    /// checkpoint drops. A crash in between reruns the job (harmless,
-    /// last line wins); the opposite order could lose the job's work.
+    /// checkpoint drops. A crash in between leaves a stale checkpoint the
+    /// next run sweeps; the opposite order could lose the job's work.
     fn land_outcome(
         &self,
         job: &JobSpec,
         outcome: JobOutcome,
-        results: &Mutex<File>,
+        results: &Journal,
         board: &ProgressBoard,
     ) -> Result<Option<JobOutcome>, CampaignError> {
-        {
-            let mut file = results
-                .lock()
-                .map_err(|_| CampaignError::spec("results lock poisoned"))?;
-            let mut line = outcome.encode();
-            line.push('\n');
-            file.write_all(line.as_bytes())
-                .map_err(|e| CampaignError::io("appending results.jsonl", e))?;
-            file.flush()
-                .map_err(|e| CampaignError::io("flushing results.jsonl", e))?;
-        }
+        results.append(&outcome.encode())?;
         self.remove_checkpoint(job.index);
         clockmark_obs::counter_add("campaign.jobs_completed", 1);
         board.note_job_done();
@@ -1212,9 +1144,7 @@ impl Campaign {
     /// format, and a checkpoint written in either flavour restores into
     /// whichever one the spec now records.
     ///
-    /// The live file is read when it exists. Otherwise the temp is: a
-    /// kill between the remove and the rename of [`replace_free_name`]
-    /// leaves the complete new snapshot only under that name.
+    /// The snapshot is read through [`durable::read_replaced`].
     ///
     /// Any defect — wrong trace, wrong pattern, wrong spectrum kernel,
     /// impossible cycle count, corrupt or torn bytes — discards the
@@ -1226,10 +1156,7 @@ impl Campaign {
         job: &JobSpec,
         trace_cycles: u64,
     ) -> Option<Session> {
-        let path = self.checkpoint_path(job.index);
-        let bytes = fs::read(&path)
-            .or_else(|_| fs::read(temp_path(&path)))
-            .ok()?;
+        let bytes = durable::read_replaced(&self.checkpoint_path(job.index)).ok()?;
         let session = decode_checkpoint(&bytes)
             .ok()
             .filter(|(index, trace, algo, state)| {
@@ -1247,17 +1174,14 @@ impl Campaign {
         session
     }
 
-    /// Snapshots a job's fold to disk through [`replace_free_name`]: a
-    /// kill mid-write leaves the previous checkpoint intact, and a kill
-    /// after the remove leaves the complete new one as the temp.
+    /// Snapshots a job's fold to disk through [`durable::replace`].
     fn write_checkpoint(
         &self,
         job: &JobSpec,
         state: &StreamingCpaState,
     ) -> Result<(), CampaignError> {
         let bytes = encode_checkpoint(job.index, &job.trace, self.spec.algo, state);
-        let path = self.checkpoint_path(job.index);
-        replace_free_name(&path, &bytes)?;
+        durable::replace(&self.checkpoint_path(job.index), &bytes)?;
         clockmark_obs::counter_add("campaign.checkpoints_written", 1);
         clockmark_obs::counter_add("campaign.checkpoint_bytes", bytes.len() as u64);
         Ok(())
@@ -1454,56 +1378,8 @@ impl ProgressBoard {
         clockmark_obs::gauge_set("campaign.jobs_total", p.total as f64);
         clockmark_obs::gauge_set("campaign.cycles_per_sec", p.cycles_per_sec);
         clockmark_obs::gauge_set("campaign.eta_seconds", p.eta_seconds);
-        let _ = replace_free_name(&self.path, format!("{}\n", p.encode()).as_bytes());
+        let _ = durable::replace(&self.path, format!("{}\n", p.encode()).as_bytes());
     }
-}
-
-/// The name a file is written under before it replaces `path`.
-fn temp_path(path: &Path) -> PathBuf {
-    path.with_extension("tmp")
-}
-
-/// Writes `bytes` to `path` through a temp file + rename over `path`: a
-/// reader always finds the old or the new file, whole. For files that
-/// cannot validate themselves and are written once or twice per run.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    let tmp = temp_path(path);
-    fs::write(&tmp, bytes)
-        .map_err(|e| CampaignError::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        CampaignError::io(
-            format!("renaming {} over {}", tmp.display(), path.display()),
-            e,
-        )
-    })?;
-    Ok(())
-}
-
-/// Replaces `path` with `bytes` without renaming over a live file: write
-/// the temp, remove `path`, rename the temp onto the now-free name.
-///
-/// Renaming over an existing file makes ext4 (with its default
-/// `auto_da_alloc`) force write-back of the new one, a stall of hundreds
-/// of microseconds per replacement; a rename onto a free name does not.
-/// The price is a window with no file under `path`, only the complete
-/// temp, so this is for files a reader can do without — progress — or
-/// can recover from the temp and validate — checkpoints, by their CRC.
-fn replace_free_name(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    let tmp = temp_path(path);
-    fs::write(&tmp, bytes)
-        .map_err(|e| CampaignError::io(format!("writing {}", tmp.display()), e))?;
-    match fs::remove_file(path) {
-        Err(e) if e.kind() != ErrorKind::NotFound => {
-            return Err(CampaignError::io(format!("removing {}", path.display()), e));
-        }
-        _ => {}
-    }
-    fs::rename(&tmp, path).map_err(|e| {
-        CampaignError::io(
-            format!("renaming {} onto {}", tmp.display(), path.display()),
-            e,
-        )
-    })
 }
 
 /// Encodes a checkpoint: magic, spectrum kernel, job identity, then every
@@ -1610,6 +1486,9 @@ fn decode_checkpoint(
         },
     ))
 }
+
+#[cfg(test)]
+use std::{fs::OpenOptions, io::Write as _};
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! scenario/
-//!   scenarios.json            # the matrix, written once (tmp+rename)
+//!   scenarios.json            # the matrix, published once
 //!   cells/
 //!     c000_none_none/         # one standard campaign per cell
 //!       campaign.json         #   (spec carries the cell's ScenarioSpec)
@@ -47,9 +47,9 @@ use crate::attack::{
     hash_gaussian, mix_seed, residues, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
 };
 use crate::campaign::{
-    algo_field, decode_head, write_atomic, Campaign, CampaignError, CampaignLimits, CampaignReport,
-    CampaignSpec,
+    algo_field, decode_head, Campaign, CampaignError, CampaignLimits, CampaignReport, CampaignSpec,
 };
+use clockmark_corpus::durable;
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
 };
@@ -409,19 +409,9 @@ impl ScenarioCampaign {
     pub fn create(dir: impl Into<PathBuf>, matrix: ScenarioMatrix) -> Result<Self, CampaignError> {
         let dir = dir.into();
         matrix.validate()?;
-        let spec_path = dir.join("scenarios.json");
-        if spec_path.exists() {
-            return Err(CampaignError::io(
-                format!("creating scenario campaign at {}", dir.display()),
-                std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    "scenarios.json already exists",
-                ),
-            ));
-        }
-        fs::create_dir_all(dir.join("cells"))
-            .map_err(|e| CampaignError::io(format!("creating {}", dir.display()), e))?;
-        write_atomic(&spec_path, format!("{}\n", matrix.encode()).as_bytes())?;
+        durable::create_dir_all(&dir.join("cells"))?;
+        let text = format!("{}\n", matrix.encode());
+        durable::publish_new(&dir.join("scenarios.json"), text.as_bytes())?;
         Ok(ScenarioCampaign {
             dir,
             matrix,
@@ -474,10 +464,6 @@ impl ScenarioCampaign {
         self.dir.join("cells").join(&cell.id)
     }
 
-    fn report_path(&self) -> PathBuf {
-        self.dir.join("report.json")
-    }
-
     /// Opens a cell's campaign, materialising it on first touch. The
     /// spec is a pure function of the persisted matrix, so a cell created
     /// during a later resume is identical to one created up front.
@@ -515,7 +501,9 @@ impl ScenarioCampaign {
             }
             let campaign = self.cell_campaign(&cell)?;
             let before = campaign.status()?.completed;
-            if before == self.matrix.base.traces.len() {
+            // A kill can leave a complete cell without its report.
+            let reported = campaign.dir().join("report.json").exists();
+            if before == self.matrix.base.traces.len() && reported {
                 continue;
             }
             let cell_limits = CampaignLimits {
@@ -531,8 +519,8 @@ impl ScenarioCampaign {
         let status = self.status()?;
         if status.is_complete() {
             let report = self.report()?;
-            write_atomic(
-                &self.report_path(),
+            durable::publish(
+                &self.dir.join("report.json"),
                 format!("{}\n", report.encode()).as_bytes(),
             )?;
         }

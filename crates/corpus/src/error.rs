@@ -104,6 +104,12 @@ impl Error for CorpusError {
     }
 }
 
+impl From<std::io::Error> for CorpusError {
+    fn from(source: std::io::Error) -> Self {
+        CorpusError::io("corpus directory", source)
+    }
+}
+
 impl CorpusError {
     /// Wraps an I/O error with its context (usually the path involved).
     pub fn io(context: impl Into<String>, source: std::io::Error) -> Self {

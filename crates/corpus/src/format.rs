@@ -185,6 +185,8 @@ pub struct TraceWriter<W: Write> {
     crc: Crc32,
     declared: u64,
     written: u64,
+    /// The encoded bytes of the latest chunk, reused across chunks.
+    bytes: Vec<u8>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -205,6 +207,7 @@ impl<W: Write> TraceWriter<W> {
             crc,
             declared: header.cycles,
             written: 0,
+            bytes: Vec::new(),
         })
     }
 
@@ -216,25 +219,24 @@ impl<W: Write> TraceWriter<W> {
     /// index) for NaN or infinite values, and [`CorpusError::Io`] on sink
     /// failure. Nothing is written past the first bad sample.
     pub fn write_samples(&mut self, watts: &[f64]) -> Result<(), CorpusError> {
-        // Encode in bounded stack-friendly chunks so a long trace never
+        // Encode through one bounded buffer, so a long trace never
         // allocates proportionally to its length.
-        const CHUNK: usize = 1024;
+        const CHUNK: usize = 4096;
         for chunk in watts.chunks(CHUNK) {
-            let mut bytes = Vec::with_capacity(chunk.len() * 8);
-            for (i, &w) in chunk.iter().enumerate() {
-                if !w.is_finite() {
-                    return Err(CorpusError::NonFinite {
-                        index: self.written + i as u64,
-                    });
-                }
-                codec::put_f64(&mut bytes, w);
+            if let Some(at) = chunk.iter().position(|w| !w.is_finite()) {
+                return Err(CorpusError::NonFinite {
+                    index: self.written + at as u64,
+                });
             }
+            self.bytes.clear();
+            self.bytes
+                .extend(chunk.iter().flat_map(|w| w.to_le_bytes()));
             self.inner
-                .write_all(&bytes)
+                .write_all(&self.bytes)
                 .map_err(|e| CorpusError::io("writing trace samples", e))?;
-            self.crc.update(&bytes);
+            self.crc.update(&self.bytes);
             self.written += chunk.len() as u64;
-            clockmark_obs::counter_add("corpus.bytes_written", bytes.len() as u64);
+            clockmark_obs::counter_add("corpus.bytes_written", self.bytes.len() as u64);
         }
         Ok(())
     }
@@ -244,22 +246,24 @@ impl<W: Write> TraceWriter<W> {
         self.written
     }
 
-    /// Writes the CRC footer and returns the sink.
+    /// Writes the CRC footer and returns the sink with the CRC-32 the
+    /// footer records.
     ///
     /// # Errors
     ///
     /// Returns [`CorpusError::CycleCountMismatch`] when fewer or more
     /// samples were written than the header declared, and
     /// [`CorpusError::Io`] on sink failure.
-    pub fn finish(mut self) -> Result<W, CorpusError> {
+    pub fn finish(mut self) -> Result<(W, u32), CorpusError> {
         if self.written != self.declared {
             return Err(CorpusError::CycleCountMismatch {
                 declared: self.declared,
                 written: self.written,
             });
         }
+        let crc = self.crc.finish();
         let mut footer = Vec::with_capacity(FOOTER_LEN);
-        codec::put_u32(&mut footer, self.crc.finish());
+        codec::put_u32(&mut footer, crc);
         footer.extend_from_slice(END_MAGIC);
         self.inner
             .write_all(&footer)
@@ -267,7 +271,7 @@ impl<W: Write> TraceWriter<W> {
         self.inner
             .flush()
             .map_err(|e| CorpusError::io("flushing trace", e))?;
-        Ok(self.inner)
+        Ok((self.inner, crc))
     }
 }
 

@@ -12,8 +12,9 @@
 //!   [`TraceWriter`]/[`TraceReader`] so a trace never has to be fully
 //!   resident;
 //! - the **corpus store** ([`Corpus`]): an on-disk directory of traces
-//!   indexed by `manifest.jsonl` (always replaced atomically via
-//!   temp-file + rename) supporting add / list / verify / scan;
+//!   indexed by an appended `manifest.jsonl`, supporting add / list /
+//!   verify / scan;
+//! - **durable state** ([`mod@durable`]): the write protocols of each file;
 //! - **zero-copy ingestion** ([`mod@mmap`], [`TraceBytes`],
 //!   [`MappedTrace`]): read-only memory-mapped `.cmt` traces on unix
 //!   (buffered reads elsewhere), so campaign workers and detection
@@ -36,6 +37,7 @@
 
 pub mod codec;
 mod crc32;
+pub mod durable;
 mod error;
 pub mod format;
 mod manifest;
@@ -46,7 +48,7 @@ mod view;
 pub use crc32::{crc32, Crc32};
 pub use error::CorpusError;
 pub use format::{decode_trace, encode_trace, TraceHeader, TraceReader, TraceWriter};
-pub use manifest::{read_manifest, write_manifest, ManifestEntry};
+pub use manifest::ManifestEntry;
 pub use mmap::Mmap;
 pub use store::{Corpus, TraceSource, VerifyOutcome, NO_MMAP_ENV};
 pub use view::{MappedTrace, TraceBytes};

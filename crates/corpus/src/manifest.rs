@@ -1,9 +1,9 @@
 //! The `manifest.jsonl` index at the root of a corpus directory.
 //!
-//! One JSON object per line, one line per stored trace. The manifest is
-//! always rewritten whole through a temp-file + `rename` so readers never
-//! observe a half-written index, and a crash mid-update leaves the old
-//! manifest intact.
+//! One JSON object per line, one line per stored trace: a
+//! [`Journal`](crate::durable::Journal) that a build appends to, and that
+//! `Corpus::create`, `Corpus::scan` and shard subsets publish whole
+//! ([`crate::durable`]).
 //!
 //! `seed` is serialised as a decimal *string*, the form every manifest
 //! has used; the reader also takes an exact integer. Every field decodes
@@ -13,8 +13,6 @@
 use crate::{CorpusError, TraceHeader};
 use clockmark_obs::json::{self, DecimalU64, DecodeError, FromJson, Json, Record};
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 /// One manifest line: everything needed to locate and verify a trace
 /// without opening it.
@@ -118,46 +116,22 @@ impl FromJson<'_> for ManifestEntry {
     }
 }
 
-/// Reads a manifest file into entries.
+/// Decodes the complete lines of a manifest, skipping blank ones.
 ///
 /// # Errors
 ///
-/// Returns [`CorpusError::Io`] when the file cannot be read and
-/// [`CorpusError::Manifest`] for a malformed line.
-pub fn read_manifest(path: &Path) -> Result<Vec<ManifestEntry>, CorpusError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| CorpusError::io(format!("reading {}", path.display()), e))?;
-    let mut entries = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        entries.push(ManifestEntry::decode(line, i + 1)?);
-    }
-    Ok(entries)
+/// Returns [`CorpusError::Manifest`] naming the first malformed line.
+pub(crate) fn decode_lines(text: &str) -> Result<Vec<ManifestEntry>, CorpusError> {
+    let lines = text.lines().enumerate();
+    let lines = lines.filter(|(_, line)| !line.trim().is_empty());
+    lines
+        .map(|(i, line)| ManifestEntry::decode(line, i + 1))
+        .collect()
 }
 
-/// Atomically replaces the manifest: writes `<path>.tmp`, flushes, then
-/// renames over `path`.
-///
-/// # Errors
-///
-/// Returns [`CorpusError::Io`] on any filesystem failure.
-pub fn write_manifest(path: &Path, entries: &[ManifestEntry]) -> Result<(), CorpusError> {
-    let mut text = String::with_capacity(entries.len() * 160);
-    for entry in entries {
-        text.push_str(&entry.encode());
-        text.push('\n');
-    }
-    let tmp = path.with_extension("jsonl.tmp");
-    fs::write(&tmp, &text).map_err(|e| CorpusError::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        CorpusError::io(
-            format!("renaming {} over {}", tmp.display(), path.display()),
-            e,
-        )
-    })?;
-    Ok(())
+/// Encodes `entries` as manifest lines, each ending in `\n`.
+pub(crate) fn encode_lines(entries: &[ManifestEntry]) -> String {
+    entries.iter().map(|e| e.encode() + "\n").collect()
 }
 
 #[cfg(test)]
@@ -236,9 +210,13 @@ mod tests {
             e.name = "chip_ii_s1".to_owned();
             e
         }];
-        write_manifest(&path, &entries).expect("writes");
-        assert_eq!(read_manifest(&path).expect("reads"), entries);
-        // No temp residue after the rename.
+        let journal = crate::durable::Journal::new(&path);
+        for e in &entries {
+            journal.append(&e.encode()).expect("writes");
+        }
+        let (text, _) = crate::durable::read_journal(&path).expect("reads");
+        assert_eq!(decode_lines(&text).expect("reads"), entries);
+        // Appending leaves no temp residue.
         assert!(!dir.join("manifest.jsonl.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,23 +3,24 @@
 //!
 //! ```text
 //! corpus/
-//!   manifest.jsonl      # one line per trace (atomic tmp+rename updates)
+//!   manifest.jsonl      # one line per trace, appended as a journal
 //!   traces/
-//!     <name>.cmt        # binary traces (written via tmp+rename)
+//!     <name>.cmt        # binary traces, published by rename-over
 //! ```
 //!
-//! Trace files are written first (through a temp name), the manifest is
-//! updated last — so a crash at any point leaves either the old corpus or
-//! the new one, never a manifest entry pointing at a half-written file.
+//! A trace file lands before its manifest line, so a kill at any point
+//! leaves no entry pointing at a half-written file. The write protocols
+//! are [`crate::durable`]'s.
 
+use crate::durable::{self, Journal};
 use crate::format::{self, TraceHeader, TraceReader, TraceWriter};
-use crate::manifest::{read_manifest, write_manifest, ManifestEntry};
+use crate::manifest::{self, ManifestEntry};
 use crate::mmap::Mmap;
-use crate::view::MappedTrace;
+use crate::view::{MappedTrace, TraceBytes};
 use crate::CorpusError;
 use clockmark_power::PowerTrace;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// How one trace fared under [`Corpus::verify`].
@@ -157,6 +158,7 @@ impl clockmark_cpa::TraceInput for TraceSource {
 pub struct Corpus {
     root: PathBuf,
     entries: Vec<ManifestEntry>,
+    manifest: Journal,
 }
 
 fn valid_name(name: &str) -> bool {
@@ -178,32 +180,27 @@ impl Corpus {
     /// directory already holds a corpus.
     pub fn create(root: impl Into<PathBuf>) -> Result<Self, CorpusError> {
         let root = root.into();
-        let manifest = root.join("manifest.jsonl");
-        if manifest.exists() {
-            return Err(CorpusError::io(
-                format!("creating corpus at {}", root.display()),
-                std::io::Error::new(std::io::ErrorKind::AlreadyExists, "manifest already exists"),
-            ));
-        }
-        fs::create_dir_all(root.join("traces"))
-            .map_err(|e| CorpusError::io(format!("creating {}", root.display()), e))?;
-        write_manifest(&manifest, &[])?;
-        Ok(Corpus {
-            root,
-            entries: Vec::new(),
-        })
+        durable::create_dir_all(&root.join("traces"))?;
+        durable::publish_new(&root.join("manifest.jsonl"), b"")?;
+        Self::open(root)
     }
 
-    /// Opens an existing corpus by reading its manifest.
+    /// Opens an existing corpus by reading its manifest. A torn last
+    /// line, left by a kill while a trace was added, is ignored.
     ///
     /// # Errors
     ///
     /// Returns [`CorpusError::Io`] when the manifest cannot be read and
-    /// [`CorpusError::Manifest`] when it is malformed.
+    /// [`CorpusError::Manifest`] when a complete line is malformed.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, CorpusError> {
         let root = root.into();
-        let entries = read_manifest(&root.join("manifest.jsonl"))?;
-        Ok(Corpus { root, entries })
+        let manifest = root.join("manifest.jsonl");
+        let entries = manifest::decode_lines(&durable::read_journal(&manifest)?.0)?;
+        Ok(Corpus {
+            root,
+            entries,
+            manifest: Journal::new(manifest),
+        })
     }
 
     /// Opens the corpus at `root`, creating it when absent.
@@ -252,8 +249,8 @@ impl Corpus {
     /// Stores a trace under `name` and indexes it in the manifest.
     ///
     /// `header.cycles` is overwritten with `watts.len()`; the other
-    /// header fields carry the capture metadata. The file lands through a
-    /// temp name + rename, then the manifest is atomically rewritten.
+    /// header fields carry the capture metadata. The file is published
+    /// by rename-over, then its manifest line is appended.
     ///
     /// # Errors
     ///
@@ -282,22 +279,14 @@ impl Corpus {
         header.cycles = watts.len() as u64;
 
         let file = format!("{name}.cmt");
-        let final_path = self.trace_path(&file);
-        let tmp_path = self.trace_path(&format!(".{name}.cmt.tmp"));
-        let out = File::create(&tmp_path)
-            .map_err(|e| CorpusError::io(format!("creating {}", tmp_path.display()), e))?;
-        let mut writer = TraceWriter::new(BufWriter::new(out), header)?;
-        writer.write_samples(watts)?;
-        writer.finish()?;
-        fs::rename(&tmp_path, &final_path)
-            .map_err(|e| CorpusError::io(format!("renaming {}", tmp_path.display()), e))?;
-
-        // Recover the footer CRC for the manifest without re-reading the
-        // samples: it sits in the last 8 bytes.
-        let crc32 = read_footer_crc(&final_path)?;
-        self.entries
-            .push(ManifestEntry::from_header(name, &file, &header, crc32));
-        write_manifest(&self.root.join("manifest.jsonl"), &self.entries)?;
+        let crc32 = durable::publish_with(&self.trace_path(&file), |out| {
+            let mut writer = TraceWriter::new(out, header)?;
+            writer.write_samples(watts)?;
+            Ok::<_, CorpusError>(writer.finish()?.1)
+        })?;
+        let entry = ManifestEntry::from_header(name, &file, &header, crc32);
+        self.manifest.append(&entry.encode())?;
+        self.entries.push(entry);
         clockmark_obs::counter_add("corpus.traces_added", 1);
         Ok(self.entries.last().expect("just pushed"))
     }
@@ -409,8 +398,8 @@ impl Corpus {
     }
 
     /// Writes a shard-scoped manifest: the entries for exactly the
-    /// named traces (in the order given), atomically written to `path`
-    /// in the standard `manifest.jsonl` format.
+    /// named traces (in the order given), published to `path` in the
+    /// standard `manifest.jsonl` format.
     ///
     /// A fleet coordinator drops one of these into each shard directory
     /// so the shard records which slice of the corpus it owns — the
@@ -439,7 +428,7 @@ impl Corpus {
                     })
             })
             .collect::<Result<_, _>>()?;
-        write_manifest(path.as_ref(), &subset)?;
+        durable::publish(path.as_ref(), manifest::encode_lines(&subset).as_bytes())?;
         Ok(subset)
     }
 
@@ -506,12 +495,10 @@ impl Corpus {
                 .and_then(|s| s.to_str())
                 .ok_or_else(|| CorpusError::format(format!("unreadable name: {}", path.display())))?
                 .to_owned();
-            let file = File::open(&path)
-                .map_err(|e| CorpusError::io(format!("opening {}", path.display()), e))?;
-            let reader = TraceReader::new(BufReader::new(file))?;
-            let header = *reader.header();
-            reader.finish()?; // full CRC validation
-            let crc32 = read_footer_crc(&path)?;
+            let map = Mmap::open(&path)?;
+            let bytes = map.as_bytes();
+            let header = TraceBytes::new(bytes)?.finish()?; // full CRC validation
+            let crc32 = crate::codec::get_u32(bytes, bytes.len() - format::FOOTER_LEN)?;
             entries.push(ManifestEntry::from_header(
                 &name,
                 &format!("{name}.cmt"),
@@ -519,22 +506,10 @@ impl Corpus {
                 crc32,
             ));
         }
-        write_manifest(&root.join("manifest.jsonl"), &entries)?;
-        Ok(Corpus { root, entries })
+        let text = manifest::encode_lines(&entries);
+        durable::publish(&root.join("manifest.jsonl"), text.as_bytes())?;
+        Self::open(root)
     }
-}
-
-/// Reads the CRC32 out of a finished trace file's footer.
-fn read_footer_crc(path: &Path) -> Result<u32, CorpusError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file =
-        File::open(path).map_err(|e| CorpusError::io(format!("opening {}", path.display()), e))?;
-    file.seek(SeekFrom::End(-(format::FOOTER_LEN as i64)))
-        .map_err(|e| CorpusError::io(format!("seeking {}", path.display()), e))?;
-    let mut footer = [0u8; format::FOOTER_LEN];
-    file.read_exact(&mut footer)
-        .map_err(|e| CorpusError::io(format!("reading footer of {}", path.display()), e))?;
-    crate::codec::get_u32(&footer, 0)
 }
 
 #[cfg(test)]

@@ -210,7 +210,8 @@ impl StreamingCpa {
     ///
     /// Returns the pattern-validation errors of [`new`](Self::new), and
     /// [`CpaError::InvalidState`] when the snapshot's vectors do not
-    /// match the pattern length or its counts do not sum to `cycles`.
+    /// match the pattern length, its counts are not the ones a fold of
+    /// `cycles` cycles leaves, or a sum is not finite.
     pub fn from_state(state: StreamingCpaState) -> Result<Self, CpaError> {
         let mut detector = Self::new(&state.pattern)?;
         let period = detector.period();
@@ -223,16 +224,28 @@ impl StreamingCpa {
                 ),
             });
         }
-        let counted: u64 = state.residue_counts.iter().sum();
-        if counted != state.cycles {
+        // A fold of `cycles` cycles from residue 0 leaves residue r
+        // `cycles / P` visits, plus one when r < `cycles % P`. Checking
+        // each count against that (not their sum, which wraps) refuses
+        // every forged count.
+        let (laps, rest) = (state.cycles / period as u64, state.cycles % period as u64);
+        let expected = |r: usize| laps + u64::from((r as u64) < rest);
+        if let Some(r) = (0..period).find(|&r| state.residue_counts[r] != expected(r)) {
             return Err(CpaError::InvalidState {
                 message: format!(
-                    "residue counts sum to {counted} but cycles is {}",
-                    state.cycles
+                    "residue {r} counts {} cycles but a fold of {} leaves {}",
+                    state.residue_counts[r],
+                    state.cycles,
+                    expected(r)
                 ),
             });
         }
-        if !state.sum_y.is_finite() || !state.sum_yy.is_finite() {
+        let sums = [state.sum_y, state.sum_yy];
+        if !sums
+            .iter()
+            .chain(&state.residue_sums)
+            .all(|s| s.is_finite())
+        {
             return Err(CpaError::InvalidState {
                 message: "non-finite accumulator sums".to_owned(),
             });
@@ -584,5 +597,21 @@ mod tests {
             StreamingCpa::from_state(constant).unwrap_err(),
             CpaError::ConstantPattern
         );
+    }
+
+    /// Counts whose sum wraps back to `cycles` (`u64::MAX` plus
+    /// `c1 + c0 + 1` is `c0 + c1` modulo 2^64) once overflowed a debug
+    /// build and restored a forged fold in a release one.
+    #[test]
+    fn residue_counts_whose_sum_wraps_are_rejected() {
+        let pattern = m_sequence_pattern();
+        let mut detector = StreamingCpa::new(&pattern).expect("valid");
+        detector.push_chunk(&noisy_trace(&pattern, 512, 0, 1.0, 1.0, 7));
+        let mut forged = detector.state();
+        let (c0, c1) = (forged.residue_counts[0], forged.residue_counts[1]);
+        forged.residue_counts[0] = u64::MAX;
+        forged.residue_counts[1] = c1 + c0 + 1;
+        let err = StreamingCpa::from_state(forged).unwrap_err();
+        assert!(matches!(err, CpaError::InvalidState { .. }), "{err}");
     }
 }

@@ -24,8 +24,7 @@
 //! from its on-disk checkpoints on whichever worker claims it next.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -34,6 +33,7 @@ use crate::error::FleetError;
 use crate::hash::Ring;
 use crate::plan::{shard_dir, shard_spec, FleetPlan, ShardPlan};
 use clockmark::{Campaign, CampaignProgress, CampaignSpec, JobOutcome};
+use clockmark_corpus::durable::{self, Journal};
 use clockmark_corpus::Corpus;
 use clockmark_obs::json::{self, DecodeError, FromJson, Json, Record};
 use clockmark_serve::{Backoff, Client, WorkerHeartbeat};
@@ -296,17 +296,12 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
             continue;
         }
         let dir = shard_dir(&config.dir, shard.shard_id);
-        fs::create_dir_all(&dir)
-            .map_err(|e| FleetError::io(format!("creating {}", dir.display()), e))?;
+        durable::create_dir_all(&dir)?;
         corpus.subset_manifest(&shard.spec.traces, dir.join("manifest.jsonl"))?;
     }
 
-    let results = OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(campaign.dir().join("results.jsonl"))
-        .map_err(|e| FleetError::io("opening merged results.jsonl", e))?;
-    let results = Mutex::new(results);
+    // A journal: a killed coordinator's torn line is cut before a merge.
+    let results = Journal::new(campaign.dir().join("results.jsonl"));
 
     let ring = Ring::new(&config.workers, Ring::DEFAULT_VNODES);
     let workers = ring.workers().to_vec();
@@ -352,7 +347,7 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     // is canonical, so the bytes cannot depend on merge order).
     let report = campaign.report()?;
     let report_path = campaign.dir().join("report.json");
-    write_atomic(&report_path, format!("{}\n", report.encode()).as_bytes())?;
+    durable::publish(&report_path, format!("{}\n", report.encode()).as_bytes())?;
     let total = total_jobs as u64;
     publish_progress_timed(campaign.dir(), total, total, 0.0, Duration::ZERO);
 
@@ -370,8 +365,8 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
 /// Reads the live fleet progress a coordinator (possibly in another
 /// process) last published into the fleet directory.
 pub fn read_progress(fleet_dir: &Path) -> Option<CampaignProgress> {
-    let text = fs::read_to_string(fleet_dir.join("progress.json")).ok()?;
-    CampaignProgress::decode(&text)
+    let bytes = durable::read_replaced(&fleet_dir.join("progress.json")).ok()?;
+    CampaignProgress::decode(std::str::from_utf8(&bytes).ok()?)
 }
 
 /// `fleet.json`: `{"shards":N}`, the shard count a fleet pins.
@@ -398,7 +393,7 @@ fn persisted_shard_count(dir: &Path, requested: u64) -> Result<u64, FleetError> 
             Err(e) => Err(FleetError::config(format!("{}: {e}", path.display()))),
         },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            write_atomic(&path, format!("{{\"shards\":{requested}}}\n").as_bytes())?;
+            durable::publish(&path, format!("{{\"shards\":{requested}}}\n").as_bytes())?;
             Ok(requested)
         }
         Err(e) => Err(FleetError::io(format!("reading {}", path.display()), e)),
@@ -412,7 +407,7 @@ fn work_loop(
     config: &FleetConfig,
     plan: &FleetPlan,
     scheduler: &Scheduler,
-    results: &Mutex<File>,
+    results: &Journal,
 ) {
     let mut client: Option<Client> = None;
     while let Some(shard_id) = scheduler.next_shard(worker) {
@@ -486,34 +481,20 @@ fn answers_shard(outcomes: &str, shard: &ShardPlan) -> bool {
         .all(|line| JobOutcome::decode(line).is_ok_and(|outcome| shard.spec.has_job(outcome.index)))
 }
 
-/// Appends not-yet-landed outcome lines to the merged `results.jsonl`.
+/// Appends not-yet-landed outcome lines to the merged `results.jsonl`,
+/// one journal append per line.
 ///
 /// Lines whose job index already landed (a resumed shard re-reporting
 /// history, or a shard finished twice across a heartbeat-timeout race)
 /// are dropped, so each job appears exactly once.
-fn merge_outcomes(outcomes: &str, state: &mut State, results: &Mutex<File>) {
-    let mut fresh = String::new();
-    let mut fresh_jobs = 0u64;
+fn merge_outcomes(outcomes: &str, state: &mut State, results: &Journal) {
     for line in outcomes.lines() {
         let Ok(outcome) = JobOutcome::decode(line) else {
             continue;
         };
-        if state.landed.insert(outcome.index) {
-            fresh.push_str(line);
-            fresh.push('\n');
-            fresh_jobs += 1;
+        if state.landed.insert(outcome.index) && results.append(line).is_ok() {
+            clockmark_obs::counter_add("fleet.jobs_merged", 1);
         }
-    }
-    if fresh.is_empty() {
-        return;
-    }
-    let mut file = results.lock().unwrap_or_else(|e| e.into_inner());
-    if file
-        .write_all(fresh.as_bytes())
-        .and_then(|()| file.flush())
-        .is_ok()
-    {
-        clockmark_obs::counter_add("fleet.jobs_merged", fresh_jobs);
     }
 }
 
@@ -633,7 +614,7 @@ fn aggregate(state: &State, total: u64) -> FleetProgress {
     }
 }
 
-/// Writes the fleet's aggregated `progress.json` in the exact shape the
+/// Replaces the fleet's aggregated `progress.json` in the exact shape the
 /// campaign publishes, so `campaign status <fleet-dir>` renders it.
 fn publish_progress_timed(
     dir: &Path,
@@ -662,18 +643,10 @@ fn publish_progress_timed(
         eta_seconds,
         elapsed_ms: elapsed.as_millis() as u64,
     };
-    let _ = write_atomic(
+    let _ = durable::replace(
         &dir.join("progress.json"),
         format!("{}\n", progress.encode()).as_bytes(),
     );
-}
-
-/// Write-temp-then-rename, so readers never observe a torn file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FleetError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes).map_err(|e| FleetError::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path)
-        .map_err(|e| FleetError::io(format!("renaming into {}", path.display()), e))
 }
 
 #[cfg(test)]
@@ -730,7 +703,8 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let file = Mutex::new(File::create(&path).expect("creates"));
+        fs::remove_file(&path).ok();
+        let file = Journal::new(&path);
         merge_outcomes(&text, &mut state, &file);
         merge_outcomes(&text, &mut state, &file);
         assert_eq!(state.landed.iter().copied().collect::<Vec<_>>(), vec![4]);

@@ -87,3 +87,9 @@ impl From<CorpusError> for FleetError {
         FleetError::Corpus(e)
     }
 }
+
+impl From<std::io::Error> for FleetError {
+    fn from(source: std::io::Error) -> Self {
+        FleetError::io("fleet directory", source)
+    }
+}

@@ -10,7 +10,9 @@
 //! 4. a worker refuses a wire spec that disagrees with the shard
 //!    directory, or whose job ids disagree with its traces;
 //! 5. a worker whose answer holds lines that are not its shard's
-//!    outcomes is buried, and its shard stays pending.
+//!    outcomes is buried, and its shard stays pending;
+//! 6. a coordinator killed mid-append leaves a torn merged line that the
+//!    next run cuts, resuming to the same bytes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -311,6 +313,54 @@ fn interrupted_assignments_drain_to_the_same_bytes() {
         "checkpoint-interrupted shards still merge to identical bytes"
     );
     worker.shutdown();
+}
+
+/// A coordinator killed mid-append leaves its merged `results.jsonl`
+/// with a torn last line. The next run reads past it, merges the lost
+/// jobs again and writes the single-node report; the torn line never
+/// joins the first appended one.
+#[test]
+fn a_torn_merged_line_from_a_killed_coordinator_resumes_to_the_same_bytes() {
+    let dir = TempDir::new("torn_merge");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 5, 3_000);
+    let reference = reference_report(&dir.0, spec.clone());
+
+    let workers: Vec<ServerHandle> = (0..2).map(|_| spawn_worker()).collect();
+    let mut config = FleetConfig::new(
+        dir.0.join("fleet"),
+        workers.iter().map(|w| w.local_addr().to_string()).collect(),
+    );
+    config.shards = 4;
+    config.worker_threads = 1;
+    config.heartbeat_interval = Duration::from_millis(100);
+    run_fleet(&config, spec.clone()).expect("fleet completes");
+
+    // Two whole lines and half of the third, as a kill mid-append of
+    // the third merge leaves them, and no report yet.
+    let merged = dir.0.join("fleet/results.jsonl");
+    let text = fs::read_to_string(&merged).expect("reads");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 6);
+    let torn = format!(
+        "{}\n{}\n{}",
+        lines[0],
+        lines[1],
+        &lines[2][..lines[2].len() / 2]
+    );
+    fs::write(&merged, torn).expect("tears");
+    fs::remove_file(dir.0.join("fleet/report.json")).expect("removes");
+
+    let summary = run_fleet(&config, spec).expect("the torn fleet resumes");
+    assert_eq!(summary.merged_jobs, 6);
+    let report = fs::read(&summary.report_path).expect("reads merged");
+    assert_eq!(report, reference, "resumed report must be byte-identical");
+    let text = fs::read_to_string(&merged).expect("reads");
+    assert!(text.ends_with('\n'), "no torn tail is left: {text:?}");
+    assert_eq!(text.lines().count(), 6, "each job merged once: {text}");
+    for worker in workers {
+        worker.shutdown();
+    }
 }
 
 /// A fleet worker that claims every shard complete and answers with
