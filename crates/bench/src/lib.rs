@@ -75,142 +75,6 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// Where the machine-readable benchmark report lands: the
-/// `CLOCKMARK_BENCH_JSON` environment variable, or `BENCH_6.json` at the
-/// repository root.
-///
-/// The repo root is resolved from this crate's compile-time manifest
-/// path rather than the working directory, because cargo runs `bench`
-/// binaries from the package directory but `run` binaries from the
-/// invoking shell — the sections written by `spectrum_algos --quick`
-/// and `campaign_scale` must land in the same file.
-pub fn bench_json_path() -> std::path::PathBuf {
-    bench_json_named("BENCH_6.json")
-}
-
-/// Like [`bench_json_path`], but with an explicit default file name for
-/// benches that land in a different PR's report (for example
-/// `BENCH_8.json` for the fleet benches). `CLOCKMARK_BENCH_JSON` still
-/// overrides.
-pub fn bench_json_named(default_name: &str) -> std::path::PathBuf {
-    if let Some(path) = std::env::var_os("CLOCKMARK_BENCH_JSON") {
-        return std::path::PathBuf::from(path);
-    }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels under the repo root")
-        .to_path_buf();
-    root.join(default_name)
-}
-
-/// Splits the top level of a JSON object into `(key, raw value)` pairs,
-/// preserving order. Values are returned as raw JSON text, so sections
-/// written by one bench binary survive a merge by another without either
-/// having to understand the other's schema.
-///
-/// This is deliberately a scanner, not a parser: it only tracks string
-/// escapes and brace/bracket depth. Anything that is not a JSON object
-/// at the top level yields an empty list.
-pub fn split_json_sections(text: &str) -> Vec<(String, String)> {
-    let bytes = text.as_bytes();
-    let mut i = 0usize;
-    // Find the opening brace.
-    while i < bytes.len() && bytes[i] != b'{' {
-        i += 1;
-    }
-    if i == bytes.len() {
-        return Vec::new();
-    }
-    i += 1;
-    let mut sections = Vec::new();
-    loop {
-        // Key: the next string literal.
-        while i < bytes.len() && bytes[i] != b'"' && bytes[i] != b'}' {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] == b'}' {
-            return sections;
-        }
-        i += 1;
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'"' {
-            if bytes[i] == b'\\' {
-                i += 1;
-            }
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return sections;
-        }
-        let key = text[key_start..i].to_owned();
-        i += 1;
-        // Skip to the value after the colon.
-        while i < bytes.len() && (bytes[i] == b':' || bytes[i].is_ascii_whitespace()) {
-            i += 1;
-        }
-        let value_start = i;
-        let mut depth = 0usize;
-        let mut in_string = false;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_string {
-                if b == b'\\' {
-                    i += 1;
-                } else if b == b'"' {
-                    in_string = false;
-                }
-            } else {
-                match b {
-                    b'"' => in_string = true,
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' if depth > 0 => depth -= 1,
-                    b',' | b'}' if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        sections.push((key, text[value_start..i].trim_end().to_owned()));
-        if i >= bytes.len() || bytes[i] == b'}' {
-            return sections;
-        }
-        i += 1; // past the comma
-    }
-}
-
-/// Renders `(key, raw value)` sections back into a pretty-enough JSON
-/// object (one key per line).
-pub fn render_json_sections(sections: &[(String, String)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in sections.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < sections.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Inserts (or replaces) one top-level section of the benchmark JSON at
-/// `path`, preserving every other section byte for byte. `value` must be
-/// a complete JSON value. Creates the file when absent.
-///
-/// # Errors
-///
-/// Returns I/O failures reading or writing the file.
-pub fn merge_bench_section(path: &std::path::Path, key: &str, value: &str) -> std::io::Result<()> {
-    let mut sections = match std::fs::read_to_string(path) {
-        Ok(text) => split_json_sections(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    match sections.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = value.to_owned(),
-        None => sections.push((key.to_owned(), value.to_owned())),
-    }
-    std::fs::write(path, render_json_sections(&sections))
-}
-
 /// Summary of a validated Prometheus text-format document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PromStats {
@@ -449,52 +313,5 @@ mod tests {
                 families: 0
             })
         );
-    }
-
-    #[test]
-    fn json_sections_split_and_render_round_trip() {
-        let text = r#"{
-  "bench": "BENCH_6",
-  "fold": {"scalar_seconds": 1.5e-3, "speedup": 4.2},
-  "notes": ["a, b", "c}d"],
-  "cores": 4
-}"#;
-        let sections = split_json_sections(text);
-        assert_eq!(
-            sections.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            ["bench", "fold", "notes", "cores"]
-        );
-        assert_eq!(sections[0].1, "\"BENCH_6\"");
-        assert_eq!(
-            sections[1].1,
-            r#"{"scalar_seconds": 1.5e-3, "speedup": 4.2}"#
-        );
-        assert_eq!(sections[2].1, r#"["a, b", "c}d"]"#);
-        assert_eq!(sections[3].1, "4");
-        // Rendering and re-splitting is stable.
-        let rendered = render_json_sections(&sections);
-        assert_eq!(split_json_sections(&rendered), sections);
-    }
-
-    #[test]
-    fn merge_replaces_one_section_and_keeps_the_rest() {
-        let path = std::env::temp_dir().join(format!(
-            "cm_bench_merge_{}_{:?}.json",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_file(&path).ok();
-        merge_bench_section(&path, "fold", r#"{"speedup": 4.0}"#).expect("creates");
-        merge_bench_section(&path, "campaign", r#"{"jobs": 50}"#).expect("appends");
-        merge_bench_section(&path, "fold", r#"{"speedup": 5.0}"#).expect("replaces");
-        let sections = split_json_sections(&std::fs::read_to_string(&path).expect("reads"));
-        assert_eq!(
-            sections,
-            vec![
-                ("fold".to_owned(), r#"{"speedup": 5.0}"#.to_owned()),
-                ("campaign".to_owned(), r#"{"jobs": 50}"#.to_owned()),
-            ]
-        );
-        std::fs::remove_file(&path).ok();
     }
 }

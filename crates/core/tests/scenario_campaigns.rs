@@ -1,9 +1,11 @@
 //! Black-box integration tests for the adversarial scenario engine: the
 //! identity cell of a scenario campaign must reproduce a plain campaign's
 //! `report.json` byte-for-byte, interrupted scenario campaigns must resume
-//! to byte-identical reports, and every attacked cell must be
-//! deterministic across independent runs of the same matrix.
+//! to byte-identical reports, every attacked cell must be deterministic
+//! across independent runs of the same matrix, and the headline
+//! attack/defense cells keep their detection rates.
 
+use clockmark::attack::hash_gaussian;
 use clockmark::corpus::{Corpus, TraceHeader};
 use clockmark::{
     AttackSpec, Campaign, CampaignLimits, CampaignSpec, DefenseSpec, ScenarioCampaign,
@@ -241,5 +243,123 @@ fn interrupted_scenario_campaign_resumes_byte_identically() {
         String::from_utf8_lossy(&got),
         String::from_utf8_lossy(&want),
         "resumed merged report diverged from the uninterrupted run"
+    );
+}
+
+/// The headline attack/defense story at snr 1, on two short synthetic
+/// traces: plain detection is clean without an attack, LFSR-spectrum
+/// jamming defeats it, the multi-watermark defense survives jamming, and
+/// a half-trace replay forgery fails the challenge-response.
+///
+/// The fixture is a 1 W floor, the period-63 mark at 0.4 W and 0.05 W of
+/// hashed gaussian noise, 4,032 cycles per trace, under the full
+/// six-attack, four-defense, two-SNR matrix with its adversary budgets
+/// on that scale. Cell seeds are counter-hashed from each cell's place
+/// in the cross-product, so the four cells are picked out of the full
+/// expansion and each runs alone as the campaign the scenario engine
+/// runs for it.
+#[test]
+fn headline_attack_defense_cells_keep_their_rates() {
+    const AMP_WATTS: f64 = 0.4;
+    const NOISE_WATTS: f64 = 0.05;
+    let dir = TempDir::new("headline");
+    let pattern = pattern();
+    let cycles = 63 * 64;
+    let corpus_dir = dir.0.join("corpus");
+    let mut corpus = Corpus::create(&corpus_dir).expect("creates");
+    let mut names = Vec::new();
+    for i in 0..2 {
+        let w: Vec<f64> = (0..cycles)
+            .map(|c| {
+                let wm = if pattern[(c + 7 + i) % pattern.len()] {
+                    AMP_WATTS
+                } else {
+                    0.0
+                };
+                1.0 + wm + NOISE_WATTS * hash_gaussian(4000 + i as u64, c as u64)
+            })
+            .collect();
+        let name = format!("marked_{i}");
+        corpus.add(&name, TraceHeader::bare(0), &w).expect("adds");
+        names.push(name);
+    }
+
+    let mut matrix = ScenarioMatrix::new(&corpus_dir, pattern.clone(), names);
+    matrix.snrs = vec![0.25, 1.0];
+    matrix.seed = 0xC10C_0000_0000_0A10;
+    matrix.amplitude_watts = AMP_WATTS;
+    matrix.noise_watts = NOISE_WATTS;
+    matrix.attacks = vec![
+        AttackSpec::None,
+        AttackSpec::ClockJitter { sigma_cycles: 2.0 },
+        AttackSpec::Dvfs {
+            dwell_cycles: 2_048,
+            max_shift: 32,
+        },
+        AttackSpec::GateDisable {
+            fraction: 0.5,
+            estimate_cycles: 16_384,
+        },
+        AttackSpec::Jamming {
+            amplitude_watts: AMP_WATTS,
+        },
+        // The forger captures the first half of the trace: the first
+        // challenge window, but not the second window's phase.
+        AttackSpec::Replay {
+            estimate_cycles: (cycles / 2) as u64,
+            noise_watts: 0.02,
+        },
+    ];
+    matrix.defenses = vec![
+        DefenseSpec::None,
+        DefenseSpec::MultiWatermark {
+            extra_widths: vec![5, 7],
+        },
+        DefenseSpec::SeedHopping {
+            dwell_cycles: 63 * 16,
+        },
+        DefenseSpec::ChallengeResponse { phase_delta: 17 },
+    ];
+    let cells = matrix.cells();
+
+    let rate = |attack: &str, defense: &str| {
+        let cell = cells
+            .iter()
+            .find(|c| {
+                c.spec.attack.kind() == attack
+                    && c.spec.defense.kind() == defense
+                    && c.spec.snr == 1.0
+            })
+            .unwrap_or_else(|| panic!("no cell {attack}|{defense} at snr 1"));
+        let spec = matrix.base.clone().with_scenario(cell.spec.clone());
+        let campaign = Campaign::create(dir.0.join(&cell.id), spec)
+            .expect("creates")
+            .with_threads(1);
+        assert!(campaign
+            .run(&CampaignLimits::none())
+            .expect("runs")
+            .is_complete());
+        let report = campaign.report().expect("complete");
+        report.detected() as f64 / report.outcomes.len() as f64
+    };
+    assert_eq!(
+        rate("none", "none"),
+        1.0,
+        "plain detection must be clean without an attack"
+    );
+    assert_eq!(
+        rate("jamming", "none"),
+        0.0,
+        "LFSR-spectrum jamming must defeat plain detection"
+    );
+    assert_eq!(
+        rate("jamming", "multi_watermark"),
+        1.0,
+        "the multi-watermark defense must survive jamming"
+    );
+    assert_eq!(
+        rate("replay", "challenge_response"),
+        0.0,
+        "a replay forgery must fail the challenge-response"
     );
 }

@@ -608,6 +608,38 @@ mod tests {
         }
     }
 
+    /// At the paper's scale (a 12-bit m-sequence, P = 4095, over
+    /// N = 300,000 cycles) the folded spectrum is the scalar `rho_at`
+    /// reference at every rotation, and the FFT kernel refines to the
+    /// folded peak's bits.
+    #[test]
+    fn paper_scale_spectra_match_their_references() {
+        use clockmark_seq::{Lfsr, SequenceGenerator};
+        let mut lfsr = Lfsr::maximal(12).expect("valid width");
+        let pattern: Vec<bool> = (0..4095).map(|_| lfsr.next_bit()).collect();
+        let y: Vec<f64> = (0..300_000usize)
+            .map(|i| {
+                let wm = if pattern[(i + 17) % 4095] { 1.0 } else { 0.0 };
+                wm + ((i * 2654435761) % 1000) as f64 * 0.01
+            })
+            .collect();
+        let (mut c, mut m, mut ones) = (Vec::new(), Vec::new(), Vec::new());
+        let inputs = inputs_for(&pattern, &y, &mut c, &mut m, &mut ones);
+        let folded = spectrum_folded(&inputs, 1);
+        for (r, rho) in folded.rho().iter().enumerate() {
+            assert_eq!(rho.to_bits(), inputs.rho_at(r).to_bits(), "rotation {r}");
+        }
+        let fft = spectrum_fft(&inputs, 1);
+        assert_eq!(fft.peak_abs().0, folded.peak_abs().0, "peak rotation");
+        assert_eq!(
+            fft.peak_abs().1.to_bits(),
+            folded.peak_abs().1.to_bits(),
+            "peak rho {} vs {}",
+            fft.peak_abs().1,
+            folded.peak_abs().1
+        );
+    }
+
     proptest! {
         /// The chunked-SoA spectrum is bit-identical to the scalar
         /// `rho_at` reference for every kernel and thread count — the

@@ -16,8 +16,7 @@
 //!   a cached reference spectrum, one packed complex FFT per call.
 //!
 //! Everything is a *plan*: construction precomputes twiddle tables and
-//! allocates scratch once, and repeated transforms reuse both — the
-//! plan-reuse-vs-per-call gap is pinned by the `spectrum_algos` bench.
+//! allocates scratch once, and repeated transforms reuse both.
 //!
 //! ```
 //! use clockmark_dsp::{Complex64, FftPlan};

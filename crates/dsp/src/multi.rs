@@ -8,21 +8,13 @@ use crate::{Complex64, DspError, FftPlan};
 /// identification workload is the transpose: one trace, many candidate
 /// patterns. `MultiCorrelator` caches `Z = DFT(a + i·b)` for a signal
 /// pair `(a, b)` once via [`set_signals`](Self::set_signals) and then
-/// correlates any number of patterns against it:
-///
-/// - [`correlate_one`](Self::correlate_one) transforms a single pattern
-///   (one forward + one inverse FFT) and produces outputs **bit-identical**
-///   to `CircularCorrelator::correlate_dual` with that pattern as the
-///   reference — the elementwise product `X ⊙ conj(Z)` and the inverse
-///   transform see exactly the same operand bits, so downstream byte-
-///   stability contracts survive the batching.
-/// - [`correlate_pair`](Self::correlate_pair) extends the two-for-one
-///   packing to *pattern pairs*: two real patterns ride one forward
-///   transform as `x_p + i·x_q` and are split by Hermitian symmetry,
-///   so a pair costs one forward + two inverse FFTs (1.5 per pattern
-///   instead of 2). The split introduces its own rounding, so results
-///   agree with `correlate_one` to FFT precision (~1e-12 relative), not
-///   bit-for-bit.
+/// correlates any number of patterns against it with
+/// [`correlate_one`](Self::correlate_one): one forward + one inverse FFT
+/// per pattern, with outputs **bit-identical** to
+/// `CircularCorrelator::correlate_dual` with that pattern as the
+/// reference — the elementwise product `X ⊙ conj(Z)` and the inverse
+/// transform see exactly the same operand bits, so downstream byte-
+/// stability contracts survive the batching.
 ///
 /// ```
 /// use clockmark_dsp::MultiCorrelator;
@@ -41,7 +33,7 @@ pub struct MultiCorrelator {
     plan: FftPlan,
     /// `DFT(a + i·b)`, set by [`set_signals`](Self::set_signals).
     signals_fft: Option<Vec<Complex64>>,
-    /// Packed pattern(s) → forward transform workspace.
+    /// Pattern → forward transform workspace.
     packed: Vec<Complex64>,
     /// Product → inverse transform workspace.
     work: Vec<Complex64>,
@@ -158,114 +150,12 @@ impl MultiCorrelator {
         }
         Ok(())
     }
-
-    /// Correlates a *pair* of real patterns against the cached signal
-    /// pair in one packed forward transform: `x_p + i·x_q` is transformed
-    /// once and split into `X_p`/`X_q` by Hermitian symmetry
-    /// (`X_p(k) = (W(k) + conj(W(n−k)))/2`,
-    /// `X_q(k) = −i·(W(k) − conj(W(n−k)))/2`), then each half is
-    /// multiplied by `conj(Z)` and inverse-transformed.
-    ///
-    /// One forward + two inverse FFTs for two patterns — 1.5 transforms
-    /// per pattern against `correlate_one`'s 2. The Hermitian split adds
-    /// rounding of its own, so outputs match [`correlate_one`](Self::correlate_one) to FFT
-    /// precision (~1e-12 relative), not bit-for-bit; callers that persist
-    /// bytes should use [`correlate_one`](Self::correlate_one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::LengthMismatch`] when any buffer's length
-    /// differs from the correlator's, or when no signals have been set
-    /// (reported as a length-0 mismatch).
-    #[allow(clippy::too_many_arguments)]
-    pub fn correlate_pair(
-        &mut self,
-        x_p: &[f64],
-        x_q: &[f64],
-        out_pa: &mut [f64],
-        out_pb: &mut [f64],
-        out_qa: &mut [f64],
-        out_qb: &mut [f64],
-    ) -> Result<(), DspError> {
-        let n = self.n;
-        for len in [
-            x_p.len(),
-            x_q.len(),
-            out_pa.len(),
-            out_pb.len(),
-            out_qa.len(),
-            out_qb.len(),
-        ] {
-            if len != n {
-                return Err(DspError::LengthMismatch {
-                    expected: n,
-                    got: len,
-                });
-            }
-        }
-        if self.signals_fft.is_none() {
-            return Err(DspError::LengthMismatch {
-                expected: n,
-                got: 0,
-            });
-        }
-
-        // W = DFT(x_p + i·x_q): both patterns in one forward transform.
-        for (slot, (&vp, &vq)) in self.packed.iter_mut().zip(x_p.iter().zip(x_q)) {
-            *slot = Complex64::new(vp, vq);
-        }
-        self.plan.forward(&mut self.packed);
-
-        self.product_half(Half::P);
-        self.plan.inverse(&mut self.work);
-        for ((oa, ob), &g) in out_pa.iter_mut().zip(out_pb.iter_mut()).zip(&self.work) {
-            *oa = g.re;
-            *ob = -g.im;
-        }
-
-        self.product_half(Half::Q);
-        self.plan.inverse(&mut self.work);
-        for ((oa, ob), &g) in out_qa.iter_mut().zip(out_qb.iter_mut()).zip(&self.work) {
-            *oa = g.re;
-            *ob = -g.im;
-        }
-        Ok(())
-    }
-
-    /// Unpacks one pattern's transform from the packed `W` by Hermitian
-    /// symmetry and multiplies it by `conj(Z)` into the work buffer.
-    fn product_half(&mut self, half: Half) {
-        let n = self.n;
-        let z = self
-            .signals_fft
-            .as_ref()
-            .expect("checked by correlate_pair");
-        for (k, z_k) in z.iter().enumerate().take(n) {
-            let w_k = self.packed[k];
-            let w_rev = self.packed[(n - k) % n].conj();
-            let x_k = match half {
-                // X_p(k) = (W(k) + conj(W(n−k))) / 2
-                Half::P => (w_k + w_rev).scale(0.5),
-                // X_q(k) = −i·(W(k) − conj(W(n−k))) / 2
-                Half::Q => (w_k - w_rev) * Complex64::new(0.0, -0.5),
-            };
-            self.work[k] = x_k * z_k.conj();
-        }
-    }
-}
-
-/// Which pattern of a packed pair to unpack.
-#[derive(Clone, Copy)]
-enum Half {
-    P,
-    Q,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{circular_cross_correlation_naive, CircularCorrelator};
-    use proptest::prelude::*;
+    use crate::CircularCorrelator;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -274,10 +164,6 @@ mod tests {
         let mut multi = MultiCorrelator::new(4).expect("valid");
         let (mut a, mut b) = ([0.0; 4], [0.0; 4]);
         assert!(multi.correlate_one(&[0.0; 4], &mut a, &mut b).is_err());
-        let (mut c, mut d) = ([0.0; 4], [0.0; 4]);
-        assert!(multi
-            .correlate_pair(&[0.0; 4], &[0.0; 4], &mut a, &mut b, &mut c, &mut d)
-            .is_err());
     }
 
     #[test]
@@ -321,47 +207,6 @@ mod tests {
                 for r in 0..n {
                     assert_eq!(fa[r].to_bits(), ga[r].to_bits(), "n={n} a lag {r}");
                     assert_eq!(fb[r].to_bits(), gb[r].to_bits(), "n={n} b lag {r}");
-                }
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn packed_pairs_match_the_naive_loop(
-            n in 2usize..70,
-            seed in 0u64..1000,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a: Vec<f64> = (0..n).map(|_| rng.random_range(-4.0..4.0)).collect();
-            let b: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..9.0)).collect();
-            let x_p: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0..2.0)).collect();
-            let x_q: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0..2.0)).collect();
-
-            let mut multi = MultiCorrelator::new(n).expect("valid");
-            multi.set_signals(&a, &b).expect("valid");
-            let (mut pa, mut pb) = (vec![0.0; n], vec![0.0; n]);
-            let (mut qa, mut qb) = (vec![0.0; n], vec![0.0; n]);
-            multi
-                .correlate_pair(&x_p, &x_q, &mut pa, &mut pb, &mut qa, &mut qb)
-                .expect("valid");
-
-            for (got, x, sig, what) in [
-                (&pa, &x_p, &a, "pa"),
-                (&pb, &x_p, &b, "pb"),
-                (&qa, &x_q, &a, "qa"),
-                (&qb, &x_q, &b, "qb"),
-            ] {
-                let want = circular_cross_correlation_naive(x, sig);
-                for r in 0..n {
-                    prop_assert!(
-                        (got[r] - want[r]).abs() < 1e-8,
-                        "{what} lag {r}: {} vs {}",
-                        got[r],
-                        want[r]
-                    );
                 }
             }
         }

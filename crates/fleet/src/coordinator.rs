@@ -216,6 +216,20 @@ impl Scheduler {
         }
     }
 
+    /// Waits out `timeout` unless the run finishes first; returns whether
+    /// it has finished. Other wake-ups (merges, requeues, burials) do not
+    /// cut the wait short, so a loop paced by it keeps its cadence.
+    fn wait_unless_finished(&self, timeout: Duration) -> bool {
+        let state = self
+            .wake
+            .wait_timeout_while(self.lock(), timeout, |state| {
+                !state.finished(self.shard_count)
+            })
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
+        state.finished(self.shard_count)
+    }
+
     /// Index into `pending` of the shard `worker` should take next.
     fn pick(&self, state: &State, worker: &str) -> Option<usize> {
         let preferred = state
@@ -550,7 +564,9 @@ fn heartbeat_loop(worker: &str, config: &FleetConfig, scheduler: &Scheduler) {
                 }
             }
         }
-        std::thread::sleep(config.heartbeat_interval);
+        if scheduler.wait_unless_finished(config.heartbeat_interval) {
+            return;
+        }
     }
 }
 
@@ -585,7 +601,7 @@ fn supervise(config: &FleetConfig, scheduler: &Scheduler, total_jobs: u64) {
             progress.cycles_per_sec,
             started.elapsed(),
         );
-        std::thread::sleep(tick);
+        scheduler.wait_unless_finished(tick);
     }
 }
 

@@ -12,12 +12,14 @@
 //! 5. a worker whose answer holds lines that are not its shard's
 //!    outcomes is buried, and its shard stays pending;
 //! 6. a coordinator killed mid-append leaves a torn merged line that the
-//!    next run cuts, resuming to the same bytes.
+//!    next run cuts, resuming to the same bytes;
+//! 7. a run returns once its last shard lands, not a heartbeat interval
+//!    later.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use clockmark::{Campaign, CampaignLimits, CampaignSpec, DefenseSpec, JobOutcome, ScenarioSpec};
 use clockmark_corpus::{Corpus, TraceHeader};
@@ -206,6 +208,39 @@ fn scenario_fleet_report_is_byte_identical_to_single_node() {
             ..ScenarioSpec::default()
         })
     });
+}
+
+/// A run returns once its last shard lands: neither the heartbeat loops
+/// nor the supervisor sleep out their interval after the final merge.
+#[test]
+fn a_fleet_run_returns_when_its_last_shard_lands() {
+    let dir = TempDir::new("prompt");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 3, 2_000);
+    let reference = reference_report(&dir.0, spec.clone());
+
+    let workers: Vec<ServerHandle> = (0..2).map(|_| spawn_worker()).collect();
+    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
+    let mut config = FleetConfig::new(dir.0.join("fleet"), addrs);
+    config.shards = 4;
+    config.worker_threads = 1;
+    config.heartbeat_interval = Duration::from_secs(5);
+    let started = Instant::now();
+    let summary = run_fleet(&config, spec).expect("fleet completes");
+    let elapsed = started.elapsed();
+
+    let merged = fs::read(&summary.report_path).expect("reads merged");
+    assert_eq!(
+        merged, reference,
+        "fleet report.json must be the single-node bytes"
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a fleet run with a 5 s heartbeat interval took {elapsed:?}"
+    );
+    for worker in workers {
+        worker.shutdown();
+    }
 }
 
 #[test]

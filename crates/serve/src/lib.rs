@@ -59,16 +59,13 @@
 //! See `docs/serve.md` at the repository root for the exact byte
 //! layout.
 //!
-//! ## Engines
+//! ## Engine
 //!
-//! On unix the server runs a `poll(2)`-based **readiness engine**: one
+//! The server runs a `poll(2)`-based **readiness engine**: one
 //! event-loop thread watches every connected session and a small
 //! worker pool ([`ServeLimits::workers`]) services only the sessions
 //! with bytes waiting, so thousands of mostly-idle sessions cost one
-//! file descriptor each and zero threads. Elsewhere a
-//! thread-per-connection engine serves instead. The wire behaviour of
-//! both engines is identical; only the `registered`/`readable` fields
-//! of [`ServerStatus`] tell them apart.
+//! file descriptor each and zero threads. It needs a unix target.
 //!
 //! The `poll(2)` and `RLIMIT_NOFILE` prototypes live in one scoped
 //! `allow(unsafe_code)` FFI module (`poll::sys`), mirroring the
@@ -76,6 +73,9 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("clockmark-serve needs a unix target: its server engine is built on poll(2)");
 
 mod client;
 mod error;

@@ -6,11 +6,8 @@
 //! declare a handful of libc prototypes directly (the workspace takes
 //! no external dependencies, so there is no `libc` crate to lean on)
 //! and the one call into the corpus CRC's PCLMULQDQ fold.
-//! Everything exported from this module is safe; on non-unix targets
-//! the engine falls back to the blocking accept loop and these helpers
-//! degrade to no-ops.
+//! Everything exported from this module is safe.
 
-#[cfg(unix)]
 mod sys {
     #![allow(unsafe_code)]
 
@@ -99,7 +96,6 @@ mod sys {
     }
 }
 
-#[cfg(unix)]
 pub(crate) use sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL};
 
 /// Best-effort raise of the open-file-descriptor soft limit toward
@@ -107,23 +103,13 @@ pub(crate) use sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL};
 ///
 /// The readiness engine registers one descriptor per connected session,
 /// so holding thousands of idle sessions needs more than the common
-/// 1024-descriptor default. Callers (tests, the `fleet_throughput`
-/// bench) check the returned value and scale their session target down
-/// when the hard limit refuses. On non-unix targets this is a no-op
-/// that reports an effectively unlimited budget, matching the blocking
-/// fallback engine used there.
-#[cfg(unix)]
+/// 1024-descriptor default. Callers check the returned value and scale
+/// their session target down when the hard limit refuses.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     sys::raise_nofile_limit(want)
 }
 
-/// See the unix variant; non-unix targets have no `RLIMIT_NOFILE`.
-#[cfg(not(unix))]
-pub fn raise_nofile_limit(_want: u64) -> u64 {
-    u64::MAX
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;

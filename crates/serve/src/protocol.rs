@@ -363,8 +363,7 @@ pub struct ServerStatus {
     /// Verdicts served by the FFT kernel.
     pub algo_fft: u64,
     /// Sessions registered with the readiness loop (sockets in the poll
-    /// set). Equals `active_sessions` under the readiness engine; under
-    /// the blocking fallback it mirrors `active_sessions` too.
+    /// set). Equals `active_sessions`.
     pub registered: u32,
     /// Registered sessions flagged readable and queued for a worker.
     pub readable: u32,

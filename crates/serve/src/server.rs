@@ -1,18 +1,13 @@
 //! The concurrent detection server.
 //!
-//! One engine per platform sits behind [`Server::bind`]:
+//! One readiness engine sits behind [`Server::bind`]: one event-loop
+//! thread `poll(2)`s every connected session plus the listener, and a
+//! small fixed worker pool services only the sessions that actually
+//! have bytes waiting. Thousands of mostly-idle sessions cost one
+//! descriptor each and zero threads, so `max_sessions` can be raised
+//! into the thousands without spawning a thread per connection.
 //!
-//! - **Readiness engine** (unix): one event-loop thread
-//!   `poll(2)`s every connected session plus the listener, and a small
-//!   fixed worker pool services only the sessions that actually have
-//!   bytes waiting. Thousands of mostly-idle sessions cost one
-//!   descriptor each and zero threads, so `max_sessions` can be raised
-//!   into the thousands without spawning a thread per connection.
-//! - **Blocking engine** (non-unix targets): the thread-per-connection
-//!   pool — an accept thread plus one session thread per admitted
-//!   connection.
-//!
-//! Both engines enforce the same admission rule: at most
+//! The engine enforces one admission rule: at most
 //! `max_sessions` connections are served concurrently and the rest are
 //! *rejected immediately* with a `Busy` error frame carrying a retry
 //! hint — the server never queues work it cannot start, so client
@@ -38,8 +33,7 @@ use crate::protocol::{
     Response, ServerStatus, ShardSpec, WorkerHeartbeat, TRACE_ID_LEN,
 };
 
-/// Poll interval of the event loop (and of idle session reads in the
-/// blocking engine). Short enough that drain latency is imperceptible,
+/// Poll interval of the event loop. Short enough that drain latency is imperceptible,
 /// long enough to keep an idle server off the scheduler.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
@@ -47,7 +41,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(5);
 /// handing a session back to the poll set. Readiness already proved
 /// bytes were waiting when the session was dispatched, so this timeout
 /// only fires once a burst of pipelined frames has been drained.
-#[cfg(unix)]
 const BURST_POLL: Duration = Duration::from_millis(2);
 
 /// Greeting budget on the rejection path: a client that never sends its
@@ -58,10 +51,7 @@ const REJECT_BUDGET: Duration = Duration::from_millis(250);
 /// before rejecting it with `Busy`. Slot release is asynchronous here —
 /// a disconnect frees its slot only after a pool worker reads the EOF —
 /// so a connect racing a disconnect (ubiquitous in retry loops) would
-/// otherwise be rejected against a stale "pool full" count that the
-/// blocking engine, which releases slots synchronously on its session
-/// threads, never shows.
-#[cfg(unix)]
+/// otherwise be rejected against a stale "pool full" count.
 const ADMIT_GRACE: Duration = Duration::from_millis(50);
 
 /// Resource limits a server enforces per connection and overall.
@@ -84,8 +74,7 @@ pub struct ServeLimits {
     pub slow_request: Duration,
     /// Size of the readiness engine's worker pool — how many sessions
     /// can be *actively serviced* at once. Idle sessions cost no
-    /// worker, so this stays small even with thousands registered. The
-    /// blocking engine ignores it (every session has its own thread).
+    /// worker, so this stays small even with thousands registered.
     pub workers: usize,
 }
 
@@ -115,8 +104,7 @@ impl Default for ServeLimits {
 pub trait FleetService: Send + Sync {
     /// Runs one shard to completion (or checkpointed interruption) and
     /// returns its outcome. This call may run for minutes; it occupies
-    /// one pool worker (readiness engine) or the session's own thread
-    /// (blocking engine) for the duration.
+    /// one pool worker for the duration.
     fn assign(&self, spec: &ShardSpec) -> Result<ShardOutcome, (ErrorCode, String)>;
 
     /// A cheap, current progress report for the heartbeat connection.
@@ -151,12 +139,11 @@ struct Shared {
     algo_naive: AtomicU64,
     algo_folded: AtomicU64,
     algo_fft: AtomicU64,
-    /// Sessions registered with the readiness poll set (0 under the
-    /// blocking engine, which has no poll set).
+    /// Sessions registered with the readiness poll set.
     registered: AtomicUsize,
-    /// Sessions queued for a pool worker (readiness engine only).
+    /// Sessions queued for a pool worker.
     readable: AtomicUsize,
-    /// Requests currently inside the handler, either engine.
+    /// Requests currently inside the handler.
     in_flight: AtomicUsize,
     fleet: Option<Arc<dyn FleetService>>,
 }
@@ -396,88 +383,9 @@ impl Server {
     }
 }
 
-/// Runs the serving engine for this platform.
+/// Runs the serving engine.
 fn engine_main(listener: TcpListener, shared: Arc<Shared>) {
-    #[cfg(unix)]
     readiness::readiness_loop(listener, shared);
-    #[cfg(not(unix))]
-    accept_loop(listener, shared);
-}
-
-// ---------------------------------------------------------------------
-// Blocking engine (non-unix): accept thread + one thread per admitted
-// session.
-// ---------------------------------------------------------------------
-
-/// Decrements the active-session counter even if a session errors out
-/// early.
-#[cfg(not(unix))]
-struct SessionSlot<'a>(&'a Shared);
-
-#[cfg(not(unix))]
-impl Drop for SessionSlot<'_> {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-#[cfg(not(unix))]
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let admitted = shared
-                    .active
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                        (n < shared.limits.max_sessions).then_some(n + 1)
-                    })
-                    .is_ok();
-                let session_shared = Arc::clone(&shared);
-                let spawn = std::thread::Builder::new()
-                    .name("clockmark-serve-session".into())
-                    .spawn(move || {
-                        if admitted {
-                            let _slot = SessionSlot(&session_shared);
-                            session_shared.total.fetch_add(1, Ordering::SeqCst);
-                            clockmark_obs::counter_add("serve.accept", 1);
-                            run_session(stream, &session_shared);
-                        } else {
-                            session_shared.rejected.fetch_add(1, Ordering::SeqCst);
-                            clockmark_obs::counter_add("serve.reject", 1);
-                            reject_session(stream, &session_shared);
-                        }
-                    });
-                match spawn {
-                    Ok(handle) => sessions.push(handle),
-                    Err(_) => {
-                        // Could not spawn; release the slot we reserved.
-                        if admitted {
-                            shared.active.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                sessions.retain(|h| !h.is_finished());
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. aborted connection);
-                // keep serving.
-                std::thread::sleep(POLL_INTERVAL);
-            }
-        }
-    }
-
-    // Graceful drain: the listener closes here (no new connections),
-    // in-flight sessions run to completion, then metrics flush.
-    drop(listener);
-    for handle in sessions {
-        let _ = handle.join();
-    }
-    clockmark_obs::flush();
 }
 
 /// Tells an over-capacity client to back off, then closes.
@@ -634,63 +542,8 @@ fn request_name(request: &Request) -> &'static str {
     }
 }
 
-#[cfg(not(unix))]
-fn run_session(mut stream: TcpStream, shared: &Shared) {
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(shared.limits.read_timeout));
-    if read_greeting(&mut stream).is_err() || write_greeting(&mut stream).is_err() {
-        return;
-    }
-
-    let span = clockmark_obs::span("serve.session");
-    let mut ctx = SessionCtx::new();
-    let mut last_activity = Instant::now();
-
-    loop {
-        // Poll for the next frame's *type byte* in short slices so the
-        // session notices a drain promptly and enforces the idle budget.
-        // A 1-byte read either completes or consumes nothing, so a poll
-        // timeout can never desynchronise the stream; the frame body is
-        // then read under the full read timeout.
-        let _ = stream.set_read_timeout(Some(POLL_INTERVAL.max(Duration::from_millis(1))));
-        let mut frame_type = [0u8; 1];
-        match std::io::Read::read_exact(&mut stream, &mut frame_type) {
-            Ok(()) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // No frame yet. An idle session ends when the server
-                // drains or the idle budget runs out; one mid-exchange
-                // is given until the read timeout to resume streaming.
-                let budget = if ctx.exchange.is_some() {
-                    shared.limits.read_timeout
-                } else {
-                    shared.limits.idle_timeout
-                };
-                let draining = shared.draining.load(Ordering::SeqCst);
-                if (draining && ctx.exchange.is_none()) || last_activity.elapsed() > budget {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break, // disconnect
-        }
-        match service_frame(&mut stream, shared, &mut ctx, frame_type[0]) {
-            Flow::Continue => last_activity = Instant::now(),
-            Flow::Close => break,
-        }
-    }
-    drop(span);
-}
-
 /// Reads the remainder of a frame whose type byte has already arrived,
-/// decodes it and dispatches the request — the request path shared by
-/// both engines. Returns what the session loop should do next; any
+/// decodes it and dispatches the request. Returns what the session loop should do next; any
 /// transport failure maps to [`Flow::Close`].
 fn service_frame(
     stream: &mut TcpStream,
@@ -766,10 +619,9 @@ fn service_frame(
 }
 
 // ---------------------------------------------------------------------
-// Readiness engine: poll(2) event loop + fixed worker pool (unix).
+// Readiness engine: poll(2) event loop + fixed worker pool.
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
 mod readiness {
     use super::*;
     use crate::poll::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL};

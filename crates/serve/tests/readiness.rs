@@ -1,10 +1,6 @@
 //! Capacity contract of the poll-based readiness engine: one node must
 //! hold >= 1024 concurrently connected, mostly-idle sessions with its
 //! small worker pool, while still serving new work correctly.
-//!
-//! The non-unix thread-per-connection engine is exempt — it would need
-//! a thread per session, which is exactly the scaling wall this engine
-//! removes.
 
 #![cfg(unix)]
 

@@ -10,7 +10,9 @@
 use crate::commands::PatternSpec;
 use crate::{tracefile, ToolError};
 use clockmark::corpus::format::source;
-use clockmark::corpus::{decode_trace, encode_trace, Corpus, CorpusError, TraceHeader};
+use clockmark::corpus::{
+    decode_trace, encode_trace, Corpus, CorpusError, ManifestEntry, TraceHeader, TraceWriter,
+};
 use clockmark::{
     Campaign, CampaignLimits, CampaignSpec, ChipModel, ClockModulationWatermark, Experiment,
     JobOutcome, WgcConfig,
@@ -110,11 +112,15 @@ fn chip_tag(chip: ChipModel) -> (&'static str, u32) {
 /// `corpus build`: measures the (chip × seed) grid through the full
 /// pipeline and records every trace into the corpus at `dir`.
 ///
+/// A trace the corpus already indexes with the same header and CRC as
+/// the one just measured is kept and not written again, so re-running a
+/// killed build completes it.
+///
 /// # Errors
 ///
-/// Returns pipeline and store failures; adding a trace name that already
-/// exists in the corpus is an error (build into a fresh directory or pick
-/// disjoint seeds).
+/// Returns pipeline and store failures; a trace name the corpus already
+/// indexes with a different header or CRC is an error (build into a
+/// fresh directory, or re-run with the same flags).
 pub fn cmd_corpus_build(dir: &Path, options: &CorpusBuildOptions) -> Result<String, ToolError> {
     let _span = clockmark_obs::span("cli.corpus_build").field("cycles", options.cycles as u64);
     let mut corpus = Corpus::open_or_create(dir)?;
@@ -162,7 +168,18 @@ pub fn cmd_corpus_build(dir: &Path, options: &CorpusBuildOptions) -> Result<Stri
                     seed,
                     source: src,
                 };
-                let entry = corpus.add(&name, header, run.measured.as_watts())?;
+                let watts = run.measured.as_watts();
+                if let Some(entry) = corpus.entry(&name) {
+                    if *entry == regenerated_entry(entry, header, watts)? {
+                        let _ = writeln!(
+                            out,
+                            "kept {name}: {} cycles, {} bytes, crc32 {:08x}",
+                            entry.cycles, entry.bytes, entry.crc32
+                        );
+                        continue;
+                    }
+                }
+                let entry = corpus.add(&name, header, watts)?;
                 let _ = writeln!(
                     out,
                     "added {name}: {} cycles, {} bytes, crc32 {:08x}",
@@ -180,6 +197,25 @@ pub fn cmd_corpus_build(dir: &Path, options: &CorpusBuildOptions) -> Result<Stri
         options.wgc_seed
     );
     Ok(out)
+}
+
+/// The entry [`Corpus::add`] would index in place of `existing` for
+/// this trace: its header and the CRC of the bytes it would store,
+/// computed without writing them.
+fn regenerated_entry(
+    existing: &ManifestEntry,
+    header: TraceHeader,
+    watts: &[f64],
+) -> Result<ManifestEntry, CorpusError> {
+    let mut writer = TraceWriter::new(std::io::sink(), header)?;
+    writer.write_samples(watts)?;
+    let (_, crc32) = writer.finish()?;
+    Ok(ManifestEntry::from_header(
+        &existing.name,
+        &existing.file,
+        &header,
+        crc32,
+    ))
 }
 
 /// `corpus ls`: lists the manifest of the corpus at `dir`.

@@ -174,3 +174,75 @@ fn help_prints_usage() {
     assert!(out.contains("embed"));
     assert!(out.contains("verilog"));
 }
+
+/// Every file of the corpus at `dir`: the manifest, then each trace.
+fn corpus_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("traces"))
+        .expect("lists traces")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    let mut files = vec![(
+        "manifest.jsonl".to_owned(),
+        std::fs::read(dir.join("manifest.jsonl")).expect("reads manifest"),
+    )];
+    for name in names {
+        let bytes = std::fs::read(dir.join("traces").join(&name)).expect("reads trace");
+        files.push((name, bytes));
+    }
+    files
+}
+
+/// Re-running `corpus build` over a corpus that already holds some of
+/// the requested traces keeps them and adds the rest, so a killed build
+/// completes; a re-run with different flags is refused.
+#[test]
+fn corpus_build_completes_a_partial_corpus_and_refuses_different_flags() {
+    let dir = TempDir::new("corpus_rerun");
+    let build = |corpus: &str, seeds: &str, cycles: &str| {
+        let mut cmd = cli();
+        cmd.args([
+            "corpus",
+            "build",
+            corpus,
+            "--seeds",
+            seeds,
+            "--cycles",
+            cycles,
+            "--width",
+            "6",
+            "--unmarked",
+        ]);
+        cmd
+    };
+    let whole = dir.path("whole");
+    run_ok(&mut build(&whole, "1..4", "3000"));
+
+    let grown = dir.path("grown");
+    run_ok(&mut build(&grown, "1..2", "3000"));
+    let out = run_ok(&mut build(&grown, "1..4", "3000"));
+    assert!(out.contains("kept chip_i_s0001_off"), "{out}");
+    assert!(out.contains("added chip_i_s0004"), "{out}");
+    assert_eq!(
+        corpus_files(&dir.0.join("grown")),
+        corpus_files(&dir.0.join("whole"))
+    );
+
+    let output = build(&grown, "1..4", "2000").output().expect("binary runs");
+    assert!(
+        !output.status.success(),
+        "a different --cycles must be refused"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("already exists"), "{stderr}");
+    assert_eq!(
+        corpus_files(&dir.0.join("grown")),
+        corpus_files(&dir.0.join("whole"))
+    );
+}
