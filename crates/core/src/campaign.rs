@@ -987,10 +987,6 @@ impl Campaign {
             span = span.field("mode", self.mode().name());
         }
         let _span = span;
-        // Zero-copy where the platform provides it; the buffered reader
-        // otherwise. Both stream bit-identical samples, so a campaign
-        // resumed on a different platform (or with CLOCKMARK_NO_MMAP
-        // set) still reproduces its report byte-for-byte.
         let mut reader = corpus.source(&job.trace)?;
         let trace_cycles = reader.header().cycles;
         let mut session = self.open_session(job, trace_cycles)?;

@@ -326,6 +326,12 @@ impl<R: Read> TraceReader<R> {
         self.consumed
     }
 
+    /// Always `false`: every read copies through the reader's buffer.
+    /// Kept only so the benchmark can still record its `info.mmap` field.
+    pub fn is_zero_copy(&self) -> bool {
+        false
+    }
+
     /// Fills `buf` with up to `buf.len()` samples; returns how many were
     /// read (0 once the trace is exhausted).
     ///
@@ -381,14 +387,15 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Consumes the remaining samples (discarding them), reads the
-    /// footer, and validates the CRC.
+    /// footer, and validates the CRC; returns the header with the CRC-32
+    /// the footer records.
     ///
     /// # Errors
     ///
     /// Returns [`CorpusError::Corrupt`] when the stored CRC disagrees
     /// with the payload, [`CorpusError::Format`] for a bad end magic, and
     /// [`CorpusError::Io`] on source failure.
-    pub fn finish(mut self) -> Result<TraceHeader, CorpusError> {
+    pub fn finish(mut self) -> Result<(TraceHeader, u32), CorpusError> {
         self.skip_samples(self.remaining())?;
         let mut footer = [0u8; FOOTER_LEN];
         self.inner
@@ -402,17 +409,15 @@ impl<R: Read> TraceReader<R> {
         if expected != actual {
             return Err(CorpusError::Corrupt { expected, actual });
         }
-        Ok(self.header)
+        Ok((self.header, actual))
     }
 }
 
 /// Decodes the little-endian samples in `bytes` (eight per slot of
 /// `out`) in one branch-free pass that folds finiteness into one flag.
 /// Only when the flag trips does it look for the first NaN or infinity,
-/// reported with its absolute index, `first` being `out[0]`'s. Both
-/// trace readers decode through here, so they agree on every sample and
-/// every error.
-pub(crate) fn decode_samples(bytes: &[u8], out: &mut [f64], first: u64) -> Result<(), CorpusError> {
+/// reported with its absolute index, `first` being `out[0]`'s.
+fn decode_samples(bytes: &[u8], out: &mut [f64], first: u64) -> Result<(), CorpusError> {
     let (words, _) = bytes.as_chunks::<8>();
     debug_assert_eq!(words.len(), out.len(), "one 8-byte word per sample");
     let mut finite = true;
@@ -488,7 +493,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(TraceHeader, Vec<f64>), CorpusError
         debug_assert!(got > 0, "read_chunk stalled before the declared count");
         filled += got;
     }
-    let header = reader.finish()?;
+    let (header, _) = reader.finish()?;
     Ok((header, watts))
 }
 
@@ -519,6 +524,12 @@ mod tests {
 
     fn sample_trace(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64) * 1.5e-6 - 2e-4).collect()
+    }
+
+    fn watts(n: usize, salt: u64) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i as u64).wrapping_mul(2654435761).wrapping_add(salt) % 1000) as f64 * 1e-6)
+            .collect()
     }
 
     #[test]
@@ -612,6 +623,73 @@ mod tests {
         reader.read_chunk(&mut buf).expect("reads");
         assert_eq!(buf[0].to_bits(), watts[123].to_bits());
         reader.finish().expect("crc still validates");
+    }
+
+    #[test]
+    fn chunk_clamped_at_the_crc_footer_boundary() {
+        // A read buffer larger than the remaining samples must clamp at
+        // the last sample and leave the footer for finish() — the chunk
+        // boundary crossing the CRC footer is the classic off-by-one.
+        let w = watts(10, 5);
+        let bytes = encode_trace(TraceHeader::bare(0), &w).expect("encodes");
+        let mut reader = TraceReader::new(bytes.as_slice()).expect("opens");
+        let mut buf = [0.0f64; 7];
+        assert_eq!(reader.read_chunk(&mut buf).expect("reads"), 7);
+        // 3 samples remain; the 7-slot buffer crosses into the footer.
+        assert_eq!(reader.read_chunk(&mut buf).expect("reads"), 3);
+        assert_eq!(reader.read_chunk(&mut buf).expect("reads"), 0);
+        reader.finish().expect("footer intact and crc valid");
+    }
+
+    #[test]
+    fn skip_names_a_non_finite_sample_it_passes_over() {
+        // Skipping over a non-finite sample fails with its index, same
+        // as reading it would.
+        let mut bad = encode_trace(TraceHeader::bare(0), &watts(500, 9)).expect("encodes");
+        let at = HEADER_LEN + 200 * 8;
+        bad[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let mut reader = TraceReader::new(bad.as_slice()).expect("opens");
+        let err = reader.skip_samples(300).expect_err("NaN under a skip");
+        assert!(
+            matches!(err, CorpusError::NonFinite { index: 200 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_non_finite_sample_is_named_wherever_it_sits() {
+        const N: usize = 200;
+        let w = watts(N, 11);
+        let clean = encode_trace(TraceHeader::bare(0), &w).expect("encodes");
+        let payload_nan = f64::from_bits(0x7FF8_0000_0000_0BAD);
+        for chunk in [1usize, 7, 16, 64, N] {
+            let boundaries = [chunk - 1, chunk, chunk + 1];
+            let spots = [0, N / 2, N - 1].into_iter().chain(boundaries);
+            for at in spots.filter(|&at| at < N) {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, payload_nan] {
+                    let mut bytes = clean.clone();
+                    // A second bad sample right after must not be the one named.
+                    for spot in [at, at + 1].into_iter().filter(|&s| s < N) {
+                        let off = HEADER_LEN + spot * 8;
+                        bytes[off..off + 8].copy_from_slice(&bad.to_le_bytes());
+                    }
+                    let chunk_start = (at / chunk * chunk) as u64;
+                    let mut reader = TraceReader::new(bytes.as_slice()).expect("opens");
+                    let mut buf = vec![0.0f64; chunk];
+                    let err = loop {
+                        match reader.read_chunk(&mut buf) {
+                            Ok(n) => assert!(n > 0, "ran past sample {at}"),
+                            Err(e) => break e,
+                        }
+                    };
+                    assert!(
+                        matches!(err, CorpusError::NonFinite { index } if index == at as u64),
+                        "chunk {chunk}, sample {at}: {err}"
+                    );
+                    assert_eq!(reader.consumed(), chunk_start, "chunk {chunk}, sample {at}");
+                }
+            }
+        }
     }
 
     #[test]

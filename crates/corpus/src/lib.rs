@@ -13,25 +13,20 @@
 //!   resident;
 //! - the **corpus store** ([`Corpus`]): an on-disk directory of traces
 //!   indexed by an appended `manifest.jsonl`, supporting add / list /
-//!   verify / scan;
+//!   verify / scan, with every stored trace read back through one
+//!   [`TraceReader`] whose declared size is checked against the file
+//!   at open;
 //! - **durable state** ([`mod@durable`]): the write protocols of each file;
-//! - **zero-copy ingestion** ([`mod@mmap`], [`TraceBytes`],
-//!   [`MappedTrace`]): read-only memory-mapped `.cmt` traces on unix
-//!   (buffered reads elsewhere), so campaign workers and detection
-//!   services stream sample chunks straight out of the page cache with
-//!   header and CRC validation unchanged;
 //! - the low-level [`codec`] and [`Crc32`] primitives, reused by the
 //!   campaign engine's checkpoint blobs in the `clockmark` crate.
 //!
 //! Everything is std-only and byte-order-pinned: a corpus written on one
 //! machine verifies bit-for-bit on any other. The full byte layout and
-//! versioning rules live in `docs/corpus.md`; the mmap lifecycle and
-//! safety contract in `docs/perf.md`.
+//! versioning rules live in `docs/corpus.md`.
 
-// `deny` rather than `forbid`: the two scoped exceptions, each with its
-// own safety argument, are the raw `mmap`/`munmap` FFI in `mmap.rs` and
-// the call into the CRC fold after feature detection in `crc32.rs`.
-// Everything else in the crate remains unsafe-free.
+// `deny` rather than `forbid`: the one scoped exception, with its own
+// safety argument, is the call into the CRC fold after feature
+// detection in `crc32.rs`. Everything else in the crate is unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -41,14 +36,10 @@ pub mod durable;
 mod error;
 pub mod format;
 mod manifest;
-pub mod mmap;
 mod store;
-mod view;
 
 pub use crc32::{crc32, Crc32};
 pub use error::CorpusError;
 pub use format::{decode_trace, encode_trace, TraceHeader, TraceReader, TraceWriter};
 pub use manifest::ManifestEntry;
-pub use mmap::Mmap;
-pub use store::{Corpus, TraceSource, VerifyOutcome, NO_MMAP_ENV};
-pub use view::{MappedTrace, TraceBytes};
+pub use store::{Corpus, VerifyOutcome};

@@ -15,8 +15,6 @@
 use crate::durable::{self, Journal};
 use crate::format::{self, TraceHeader, TraceReader, TraceWriter};
 use crate::manifest::{self, ManifestEntry};
-use crate::mmap::Mmap;
-use crate::view::{MappedTrace, TraceBytes};
 use crate::CorpusError;
 use clockmark_power::PowerTrace;
 use std::fs::{self, File};
@@ -32,109 +30,6 @@ pub struct VerifyOutcome {
     pub ok: bool,
     /// Human-readable detail (the failure reason, or `"ok"`).
     pub detail: String,
-}
-
-/// Environment variable that forces [`Corpus::source`] onto the
-/// buffered reader path (any value other than `0` or empty).
-pub const NO_MMAP_ENV: &str = "CLOCKMARK_NO_MMAP";
-
-/// A streaming reader over one stored trace: memory-mapped when the
-/// platform allows it, buffered otherwise.
-///
-/// Returned by [`Corpus::source`]. Both variants run the identical
-/// validation pipeline (header decode, per-sample finiteness, streaming
-/// CRC, footer check) and produce bit-identical samples; the only
-/// difference is whether the sample bytes are copied through a read
-/// buffer on the way in.
-#[derive(Debug)]
-pub enum TraceSource {
-    /// Zero-copy page-cache mapping (see [`MappedTrace`]).
-    Mapped(Box<MappedTrace>),
-    /// Buffered chunked reads (see [`TraceReader`]).
-    Buffered(TraceReader<BufReader<File>>),
-}
-
-impl TraceSource {
-    /// The trace metadata.
-    pub fn header(&self) -> &TraceHeader {
-        match self {
-            TraceSource::Mapped(t) => t.header(),
-            TraceSource::Buffered(r) => r.header(),
-        }
-    }
-
-    /// Samples not yet read.
-    pub fn remaining(&self) -> u64 {
-        match self {
-            TraceSource::Mapped(t) => t.remaining(),
-            TraceSource::Buffered(r) => r.remaining(),
-        }
-    }
-
-    /// Samples already read.
-    pub fn consumed(&self) -> u64 {
-        match self {
-            TraceSource::Mapped(t) => t.consumed(),
-            TraceSource::Buffered(r) => r.consumed(),
-        }
-    }
-
-    /// Whether the samples stream straight out of the page cache.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self, TraceSource::Mapped(t) if t.is_zero_copy())
-    }
-
-    /// Fills `buf` with up to `buf.len()` samples; returns how many were
-    /// read (0 once the trace is exhausted).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::read_chunk`].
-    pub fn read_chunk(&mut self, buf: &mut [f64]) -> Result<usize, CorpusError> {
-        match self {
-            TraceSource::Mapped(t) => t.read_chunk(buf),
-            TraceSource::Buffered(r) => r.read_chunk(buf),
-        }
-    }
-
-    /// Skips `n` samples (they still feed the CRC and finite checks).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::skip_samples`].
-    pub fn skip_samples(&mut self, n: u64) -> Result<(), CorpusError> {
-        match self {
-            TraceSource::Mapped(t) => t.skip_samples(n),
-            TraceSource::Buffered(r) => r.skip_samples(n),
-        }
-    }
-
-    /// Consumes the remaining samples and validates the CRC footer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::finish`].
-    pub fn finish(self) -> Result<TraceHeader, CorpusError> {
-        match self {
-            TraceSource::Mapped(t) => t.finish(),
-            TraceSource::Buffered(r) => r.finish(),
-        }
-    }
-}
-
-/// Either variant plugs into
-/// [`Detector::detect_trace`](clockmark_cpa::Detector::detect_trace)
-/// with the CRC footer validated before any verdict.
-impl clockmark_cpa::TraceInput for TraceSource {
-    type Error = CorpusError;
-
-    fn next_chunk(&mut self, buf: &mut [f64]) -> Result<usize, CorpusError> {
-        self.read_chunk(buf)
-    }
-
-    fn finish(self) -> Result<(), CorpusError> {
-        TraceSource::finish(self).map(|_| ())
-    }
 }
 
 /// A durable trace corpus rooted at a directory.
@@ -305,7 +200,7 @@ impl Corpus {
         self.add(name, header, trace.as_watts())
     }
 
-    /// Opens a chunked reader over one stored trace.
+    /// Opens a streaming reader over one stored trace.
     ///
     /// # Errors
     ///
@@ -313,65 +208,11 @@ impl Corpus {
     /// [`CorpusError::Io`] on open failure, and [`CorpusError::Format`]
     /// for a malformed header or one declaring more samples than the file
     /// holds (a corrupt or forged header must not drive an allocation).
-    pub fn reader(&self, name: &str) -> Result<TraceReader<BufReader<File>>, CorpusError> {
+    pub fn source(&self, name: &str) -> Result<TraceReader<BufReader<File>>, CorpusError> {
         let entry = self.entry(name).ok_or_else(|| CorpusError::UnknownTrace {
             name: name.to_owned(),
         })?;
-        let path = self.trace_path(&entry.file);
-        let opened = File::open(&path).and_then(|file| Ok((file.metadata()?.len(), file)));
-        let (len, file) =
-            opened.map_err(|e| CorpusError::io(format!("opening {}", path.display()), e))?;
-        let reader = TraceReader::new(BufReader::new(file))?;
-        crate::format::check_declared_size(reader.header(), len)?;
-        Ok(reader)
-    }
-
-    /// Opens the fastest available streaming reader over one stored
-    /// trace: a zero-copy memory mapping where the platform provides one
-    /// (unix), the buffered [`Corpus::reader`] otherwise.
-    ///
-    /// Setting the [`NO_MMAP_ENV`] environment variable (to anything but
-    /// `0` or the empty string) forces the buffered path — an escape
-    /// hatch for filesystems where mapping misbehaves. Both paths
-    /// produce bit-identical samples and verdicts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CorpusError::UnknownTrace`] for an unindexed name,
-    /// [`CorpusError::Io`] on open failure, and [`CorpusError::Format`]
-    /// for a malformed header or one declaring more samples than the
-    /// file holds.
-    pub fn source(&self, name: &str) -> Result<TraceSource, CorpusError> {
-        let entry = self.entry(name).ok_or_else(|| CorpusError::UnknownTrace {
-            name: name.to_owned(),
-        })?;
-        if std::env::var(NO_MMAP_ENV).is_ok_and(|v| !v.is_empty() && v != "0") {
-            return Ok(TraceSource::Buffered(self.reader(name)?));
-        }
-        let path = self.trace_path(&entry.file);
-        match Mmap::open(&path) {
-            Ok(map) => Ok(TraceSource::Mapped(Box::new(MappedTrace::new(map)?))),
-            // Mapping (or the fallback whole-file read) failed — the
-            // chunked buffered reader may still manage.
-            Err(_) => Ok(TraceSource::Buffered(self.reader(name)?)),
-        }
-    }
-
-    /// Reads a stored trace fully into memory, validating its CRC.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Corpus::reader`], plus
-    /// [`CorpusError::Corrupt`] on a CRC mismatch.
-    pub fn read_all(&self, name: &str) -> Result<(TraceHeader, Vec<f64>), CorpusError> {
-        let mut reader = self.reader(name)?;
-        let mut watts = vec![0.0f64; reader.header().cycles as usize];
-        let mut filled = 0;
-        while filled < watts.len() {
-            filled += reader.read_chunk(&mut watts[filled..])?;
-        }
-        let header = reader.finish()?;
-        Ok((header, watts))
+        open_trace(&self.trace_path(&entry.file))
     }
 
     /// Verifies every stored trace against the manifest: file size,
@@ -446,13 +287,9 @@ impl Corpus {
                 meta.len()
             ));
         }
-        let file = match File::open(&path) {
-            Ok(file) => file,
-            Err(e) => return Some(format!("cannot open: {e}")),
-        };
-        let reader = match TraceReader::new(BufReader::new(file)) {
+        let reader = match open_trace(&path) {
             Ok(reader) => reader,
-            Err(e) => return Some(format!("bad header: {e}")),
+            Err(e) => return Some(e.to_string()),
         };
         let stored = *reader.header();
         let expected = entry.header();
@@ -495,10 +332,7 @@ impl Corpus {
                 .and_then(|s| s.to_str())
                 .ok_or_else(|| CorpusError::format(format!("unreadable name: {}", path.display())))?
                 .to_owned();
-            let map = Mmap::open(&path)?;
-            let bytes = map.as_bytes();
-            let header = TraceBytes::new(bytes)?.finish()?; // full CRC validation
-            let crc32 = crate::codec::get_u32(bytes, bytes.len() - format::FOOTER_LEN)?;
+            let (header, crc32) = open_trace(&path)?.finish()?; // full CRC validation
             entries.push(ManifestEntry::from_header(
                 &name,
                 &format!("{name}.cmt"),
@@ -510,6 +344,18 @@ impl Corpus {
         durable::publish(&root.join("manifest.jsonl"), text.as_bytes())?;
         Self::open(root)
     }
+}
+
+/// Opens the trace file at `path` and decodes its header, refusing one
+/// that declares more samples than the file holds: a corrupt or forged
+/// header must not size a buffer or a read.
+fn open_trace(path: &Path) -> Result<TraceReader<BufReader<File>>, CorpusError> {
+    let opened = File::open(path).and_then(|file| Ok((file.metadata()?.len(), file)));
+    let (len, file) =
+        opened.map_err(|e| CorpusError::io(format!("opening {}", path.display()), e))?;
+    let reader = TraceReader::new(BufReader::new(file))?;
+    format::check_declared_size(reader.header(), len)?;
+    Ok(reader)
 }
 
 #[cfg(test)]
@@ -563,7 +409,13 @@ mod tests {
         let entry = reopened.entry("chip_i_s42").expect("indexed");
         assert_eq!(entry.cycles, 5000);
         assert_eq!(entry.seed, 42);
-        let (back_header, back) = reopened.read_all("chip_i_s42").expect("reads");
+        let mut source = reopened.source("chip_i_s42").expect("opens");
+        let mut back = vec![0.0f64; w.len()];
+        let mut filled = 0;
+        while filled < back.len() {
+            filled += source.read_chunk(&mut back[filled..]).expect("reads");
+        }
+        let (back_header, _) = source.finish().expect("crc");
         assert_eq!(back_header.seed, 42);
         for (a, b) in back.iter().zip(&w) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -599,74 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn read_all_refuses_a_forged_on_disk_cycle_count() {
-        let dir = TempDir::new("forged");
-        let mut corpus = Corpus::create(&dir.0).expect("creates");
-        corpus
-            .add("victim", TraceHeader::bare(0), &watts(100, 7))
-            .expect("adds");
-
-        // Forge the on-disk header to declare an absurd cycle count; the
-        // file itself stays tiny. read_all must refuse before sizing any
-        // buffer from the forged header.
-        let path = dir.0.join("traces/victim.cmt");
-        let mut bytes = fs::read(&path).expect("reads");
-        let forged = TraceHeader {
-            cycles: u64::MAX / 16,
-            ..TraceHeader::bare(0)
-        };
-        bytes[..format::HEADER_LEN].copy_from_slice(&forged.encode());
-        fs::write(&path, &bytes).expect("writes");
-
-        let err = corpus
-            .read_all("victim")
-            .expect_err("forged header must be refused");
-        assert!(matches!(err, CorpusError::Format { .. }), "{err}");
-        assert!(err.to_string().contains("cycles"), "{err}");
-    }
-
-    #[test]
-    fn source_streams_bit_identically_to_the_buffered_reader() {
-        let dir = TempDir::new("source");
-        let mut corpus = Corpus::create(&dir.0).expect("creates");
-        let w = watts(3000, 11);
-        corpus.add("t", TraceHeader::bare(0), &w).expect("adds");
-
-        let mut source = corpus.source("t").expect("opens");
-        #[cfg(unix)]
-        assert!(source.is_zero_copy(), "unix should map");
-        assert_eq!(source.header().cycles, 3000);
-        let mut reader = corpus.reader("t").expect("opens");
-        let mut a = [0.0f64; 257];
-        let mut b = [0.0f64; 257];
-        loop {
-            let na = source.read_chunk(&mut a).expect("reads");
-            let nb = reader.read_chunk(&mut b).expect("reads");
-            assert_eq!(na, nb);
-            if na == 0 {
-                break;
-            }
-            for (x, y) in a[..na].iter().zip(&b[..nb]) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        source.finish().expect("crc");
-        reader.finish().expect("crc");
-
-        // The env escape hatch forces the buffered path. Same test (not
-        // a separate one) so the set_var cannot race the zero-copy
-        // assertion above under parallel test execution.
-        std::env::set_var(NO_MMAP_ENV, "1");
-        let buffered = corpus.source("t");
-        std::env::remove_var(NO_MMAP_ENV);
-        let buffered = buffered.expect("opens");
-        assert!(!buffered.is_zero_copy());
-        assert!(matches!(buffered, TraceSource::Buffered(_)));
-        let header = buffered.finish().expect("crc");
-        assert_eq!(header.cycles, 3000);
-    }
-
-    #[test]
     fn source_refuses_a_forged_on_disk_cycle_count() {
         let dir = TempDir::new("sourceforged");
         let mut corpus = Corpus::create(&dir.0).expect("creates");
@@ -682,8 +466,8 @@ mod tests {
         bytes[..format::HEADER_LEN].copy_from_slice(&forged.encode());
         fs::write(&path, &bytes).expect("writes");
 
-        // The mapped path knows the file length up front and refuses the
-        // forged header at open.
+        // The file length is known at open, so the forged header is
+        // refused before anything is sized from it.
         let err = corpus.source("victim").expect_err("forged header");
         assert!(matches!(err, CorpusError::Format { .. }), "{err}");
         assert!(err.to_string().contains("cycles"), "{err}");

@@ -211,7 +211,8 @@ impl StreamingCpa {
     /// Returns the pattern-validation errors of [`new`](Self::new), and
     /// [`CpaError::InvalidState`] when the snapshot's vectors do not
     /// match the pattern length, its counts are not the ones a fold of
-    /// `cycles` cycles leaves, or a sum is not finite.
+    /// `cycles` cycles leaves, a sum is not finite, or the residue sums
+    /// do not add up to `sum_y` or hold more energy than `sum_yy`.
     pub fn from_state(state: StreamingCpaState) -> Result<Self, CpaError> {
         let mut detector = Self::new(&state.pattern)?;
         let period = detector.period();
@@ -248,6 +249,36 @@ impl StreamingCpa {
         {
             return Err(CpaError::InvalidState {
                 message: "non-finite accumulator sums".to_owned(),
+            });
+        }
+        // The residue classes partition the samples, so their sums add
+        // up to `sum_y`, and by Cauchy–Schwarz in each class, c²/m is at
+        // most that class's Σy², so their total is at most `sum_yy`. Both
+        // hold up to the rounding of N additions, at most N·ε·Σ|y|, and
+        // Σ|y| ≤ √(N·sum_yy) plus what samples too small to square
+        // without underflow add.
+        let n = state.cycles as f64;
+        let slack = 2.0 * (n + period as f64 + 2.0) * f64::EPSILON;
+        let abs_y = n.sqrt() * state.sum_yy.max(0.0).sqrt() + n * f64::MIN_POSITIVE.sqrt();
+        let total: f64 = state.residue_sums.iter().sum();
+        if (total - state.sum_y).abs() > slack * abs_y {
+            return Err(CpaError::InvalidState {
+                message: format!(
+                    "residue sums add up to {total:e}, not the fold's sum {:e}",
+                    state.sum_y
+                ),
+            });
+        }
+        let energy: f64 = (state.residue_sums.iter().zip(&state.residue_counts))
+            .filter(|&(_, &m)| m > 0)
+            .map(|(&c, &m)| c / m as f64 * c)
+            .sum();
+        if energy > state.sum_yy * (1.0 + slack) + n * f64::MIN_POSITIVE {
+            return Err(CpaError::InvalidState {
+                message: format!(
+                    "residue sums hold energy {energy:e}, over the fold's sum of squares {:e}",
+                    state.sum_yy
+                ),
             });
         }
         detector.residue_sums = state.residue_sums;
@@ -597,6 +628,69 @@ mod tests {
             StreamingCpa::from_state(constant).unwrap_err(),
             CpaError::ConstantPattern
         );
+    }
+
+    /// A forged residue sum steers the spectrum while every sum stays
+    /// finite; it no longer adds up to `sum_y`.
+    #[test]
+    fn a_forged_residue_sum_is_refused() {
+        let pattern = m_sequence_pattern();
+        let mut detector = StreamingCpa::new(&pattern).expect("valid");
+        detector.push_chunk(&noisy_trace(&pattern, 500, 0, 1.0, 1.0, 7));
+        let mut forged = detector.state();
+        forged.residue_sums[0] = 1e300;
+        let err = StreamingCpa::from_state(forged).unwrap_err();
+        assert!(matches!(err, CpaError::InvalidState { .. }), "{err}");
+
+        // Moving mass between residues keeps the total; it cannot raise
+        // one class's energy past what the whole trace holds.
+        let mut forged = detector.state();
+        let bump = 10.0 * forged.sum_yy.sqrt();
+        forged.residue_sums[0] += bump;
+        forged.residue_sums[1] -= bump;
+        let err = StreamingCpa::from_state(forged).unwrap_err();
+        assert!(matches!(err, CpaError::InvalidState { .. }), "{err}");
+    }
+
+    /// The bounds hold for every honest snapshot: a refused one would
+    /// silently restart a campaign job from cycle 0.
+    #[test]
+    fn honest_snapshots_pass_the_residue_sum_bounds() {
+        let restores = |pattern: &[bool], ys: &[f64], at: &[usize]| {
+            let mut detector = StreamingCpa::new(pattern).expect("valid");
+            let mut fed = 0;
+            for &cut in at {
+                detector.push_chunk(&ys[fed..cut]);
+                fed = cut;
+                let state = detector.state();
+                let restored = StreamingCpa::from_state(state.clone())
+                    .unwrap_or_else(|e| panic!("P = {}, {cut} cycles: {e}", pattern.len()));
+                assert_eq!(restored.state(), state);
+            }
+        };
+        let small = m_sequence_pattern();
+        let cuts = [1, 2, 126, 127, 128, 1_000, 5_000];
+        // The equality case of Cauchy–Schwarz: every class is constant.
+        for level in [0.1, 1e-3, 7.25e3, 1e-160] {
+            restores(&small, &vec![level; 5_000], &cuts);
+        }
+        // A zero-mean ±1 trace: the sums cancel to zero.
+        let mut rng = StdRng::seed_from_u64(3);
+        let signs: Vec<f64> = (0..5_000)
+            .map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 })
+            .collect();
+        restores(&small, &signs, &cuts);
+
+        // The paper's P = 4095 fold up to its 300,000 cycles.
+        use clockmark_seq::{Lfsr, SequenceGenerator};
+        let mut lfsr = Lfsr::maximal(12).expect("valid");
+        let paper: Vec<bool> = (0..4095).map(|_| lfsr.next_bit()).collect();
+        let trace = noisy_trace(&paper, 300_000, 17, 1e-3, 0.5, 11)
+            .iter()
+            .map(|y| y + 2.0)
+            .collect::<Vec<_>>();
+        restores(&paper, &trace, &[1, 4_094, 4_095, 50_000, 123_457, 300_000]);
+        restores(&paper, &vec![1e-3; 300_000], &[4_096, 300_000]);
     }
 
     /// Counts whose sum wraps back to `cycles` (`u64::MAX` plus

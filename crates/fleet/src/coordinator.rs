@@ -433,7 +433,7 @@ fn work_loop(
             config.max_jobs_per_assign,
             config.interrupt_after_cycles,
         );
-        let outcome = connect(worker, &mut client)
+        let outcome = connect(worker, config, &mut client)
             .and_then(|c| c.shard_assign(wire).map_err(|e| e.to_string()));
         match outcome {
             Ok((returned_shard, complete, outcomes)) => {
@@ -512,20 +512,34 @@ fn merge_outcomes(outcomes: &str, state: &mut State, results: &Journal) {
     }
 }
 
-/// Connects (or reuses) the work connection to `worker`.
-fn connect<'c>(worker: &str, client: &'c mut Option<Client>) -> Result<&'c mut Client, String> {
+/// Connects (or reuses) the work connection to `worker`. The handshake
+/// may take as long as the heartbeats would take to bury the worker,
+/// and no longer.
+fn connect<'c>(
+    worker: &str,
+    config: &FleetConfig,
+    client: &'c mut Option<Client>,
+) -> Result<&'c mut Client, String> {
     if client.is_none() {
         let mut backoff = Backoff::new(crate::hash::fnv1a64(worker.as_bytes()));
-        *client =
-            Some(Client::connect_with_backoff(worker, &mut backoff, 8).map_err(|e| e.to_string())?);
+        let handshake = heartbeat_period(config) * config.heartbeat_misses.max(1);
+        *client = Some(
+            Client::connect_with_backoff(worker, &mut backoff, 8, handshake)
+                .map_err(|e| e.to_string())?,
+        );
     }
     Ok(client.as_mut().expect("just connected"))
+}
+
+/// The heartbeat interval, floored so a tiny one cannot spin.
+fn heartbeat_period(config: &FleetConfig) -> Duration {
+    config.heartbeat_interval.max(Duration::from_millis(50))
 }
 
 /// One worker's heartbeat connection: poll liveness and shard progress,
 /// bury the worker after too many consecutive misses.
 fn heartbeat_loop(worker: &str, config: &FleetConfig, scheduler: &Scheduler) {
-    let timeout = config.heartbeat_interval.max(Duration::from_millis(50)) * 2;
+    let timeout = heartbeat_period(config) * 2;
     let mut client: Option<Client> = None;
     let mut misses = 0u32;
     loop {

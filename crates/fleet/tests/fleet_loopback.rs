@@ -312,7 +312,12 @@ fn a_dead_worker_address_reassigns_its_shards() {
     config.worker_threads = 1;
     config.heartbeat_interval = Duration::from_millis(100);
     config.heartbeat_misses = 2;
+    let started = Instant::now();
     let summary = run_fleet(&config, spec).expect("fleet completes on the survivor");
+    // The mute address's handshake gives up once heartbeats would have
+    // buried it (100 ms × 2), so it cannot hold the run's return.
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "run_fleet took {took:?}");
     assert_eq!(summary.merged_jobs, summary.total_jobs);
     assert_eq!(summary.workers_lost, 1);
 

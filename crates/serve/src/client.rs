@@ -156,20 +156,21 @@ impl Client {
     /// server answers the greeting, sends the error frame and closes),
     /// so each attempt probes the fresh connection with a `Ping` and
     /// returns it once the probe round-trips. Non-`Busy` errors abort
-    /// immediately. The handshake and probe run under a 5 s read
-    /// timeout so a mute peer cannot hang the caller; the timeout is
-    /// lifted from the returned client, whose exchanges may run
-    /// arbitrarily long (fleet shard assignments block for the whole
-    /// shard).
+    /// immediately. The handshake and probe run under
+    /// `handshake_timeout` so a mute peer cannot hang the caller; the
+    /// timeout is lifted from the returned client, whose exchanges may
+    /// run arbitrarily long (fleet shard assignments block for the
+    /// whole shard).
     pub fn connect_with_backoff(
         addr: impl ToSocketAddrs + Clone,
         backoff: &mut Backoff,
         max_attempts: u32,
+        handshake_timeout: Duration,
     ) -> Result<Self, ServeError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match Client::connect_with_timeout(addr.clone(), Duration::from_secs(5)).and_then(
+            match Client::connect_with_timeout(addr.clone(), handshake_timeout).and_then(
                 |mut client| {
                     client.ping()?;
                     client.set_read_timeout(None)?;

@@ -68,8 +68,8 @@
 //! file descriptor each and zero threads. It needs a unix target.
 //!
 //! The `poll(2)` and `RLIMIT_NOFILE` prototypes live in one scoped
-//! `allow(unsafe_code)` FFI module (`poll::sys`), mirroring the
-//! `corpus::mmap` pattern; the rest of the crate denies unsafe code.
+//! `allow(unsafe_code)` FFI module (`poll::sys`); the rest of the crate
+//! denies unsafe code.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,11 @@
 //! Minimal FFI surface for the readiness engine: `poll(2)` plus the
 //! `RLIMIT_NOFILE` pair, wrapped in safe functions.
 //!
-//! This mirrors the `corpus::mmap` pattern: the workspace stays
-//! `deny(unsafe_code)` everywhere except two scoped `sys` modules that
-//! declare a handful of libc prototypes directly (the workspace takes
-//! no external dependencies, so there is no `libc` crate to lean on)
-//! and the one call into the corpus CRC's PCLMULQDQ fold.
+//! The workspace stays `deny(unsafe_code)` everywhere except this
+//! scoped `sys` module, which declares a handful of libc prototypes
+//! directly (the workspace takes no external dependencies, so there is
+//! no `libc` crate to lean on), and the one call into the corpus CRC's
+//! PCLMULQDQ fold.
 //! Everything exported from this module is safe.
 
 mod sys {

@@ -1240,9 +1240,6 @@ fn detect_corpus(
             ),
         ));
     }
-    // Memory-mapped where the platform allows it (buffered fallback /
-    // CLOCKMARK_NO_MMAP opt-out); repeated detect-corpus requests over
-    // the same trace then stream straight from the page cache.
     let reader = store
         .source(trace)
         .map_err(|e| (ErrorCode::Corpus, e.to_string()))?;
@@ -1250,8 +1247,7 @@ fn detect_corpus(
     let mut detect_span = clockmark_obs::span("serve.detect")
         .field("cycles", entry.cycles)
         .field("period", pattern.len() as u64)
-        .field("algo", resolved.as_str())
-        .field("zero_copy", u64::from(reader.is_zero_copy()));
+        .field("algo", resolved.as_str());
     if let Some(t) = trace_ctx {
         detect_span = detect_span
             .field("trace_id", trace_id_hex(&t.trace_id))

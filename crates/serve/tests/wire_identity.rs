@@ -135,7 +135,7 @@ fn corpus_detect_matches_in_process_detect_trace() {
         .expect("wire corpus detect");
 
     let detector = Detector::new(&pattern).expect("detector");
-    let reader = corpus.reader("chip_i_wire").expect("reader");
+    let reader = corpus.source("chip_i_wire").expect("reader");
     let local = detector.detect_trace(reader).expect("local detect_trace");
 
     assert_bit_identical(&wire.result, &local.result);

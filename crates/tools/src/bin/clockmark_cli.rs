@@ -55,10 +55,10 @@ USAGE:
                  [--chunk-cycles N] [--algo naive|folded|fft]
                  [--sequential [--seq-base N] [--seq-growth F] [--seq-confidence P]
                   [--seq-min-cycles N] [--seq-max-cycles N]]
-                 [--threads N] [--max-jobs N] [--no-mmap]
+                 [--threads N] [--max-jobs N]
   clockmark-cli campaign run <dir> --scenarios <scenarios.json>
-                 [--threads N] [--max-jobs N] [--no-mmap]
-  clockmark-cli campaign resume <dir> [--threads N] [--max-jobs N] [--no-mmap]
+                 [--threads N] [--max-jobs N]
+  clockmark-cli campaign resume <dir> [--threads N] [--max-jobs N]
   clockmark-cli campaign status <dir>
   clockmark-cli scenario report <dir>
   clockmark-cli scenario template --out <scenarios.json> --corpus <dir>
@@ -190,7 +190,6 @@ fn campaign_run_options(args: &mut Args) -> Result<CampaignRunOptions, ToolError
             .map(|v| v.parse())
             .transpose()
             .map_err(|_| ToolError::Usage("--max-jobs: not a number".to_owned()))?,
-        no_mmap: args.flag("--no-mmap"),
     })
 }
 

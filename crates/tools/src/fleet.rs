@@ -368,10 +368,6 @@ pub struct CampaignRunOptions {
     pub threads: usize,
     /// Stop after at most this many jobs this invocation.
     pub max_jobs: Option<usize>,
-    /// Force buffered trace reads instead of memory-mapping (sets
-    /// `CLOCKMARK_NO_MMAP` for this process; verdicts are bit-identical
-    /// either way).
-    pub no_mmap: bool,
 }
 
 impl CampaignRunOptions {
@@ -383,9 +379,6 @@ impl CampaignRunOptions {
     }
 
     fn apply(self, campaign: Campaign) -> Campaign {
-        if self.no_mmap {
-            std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
-        }
         if self.threads > 0 {
             campaign.with_threads(self.threads)
         } else {
@@ -652,7 +645,6 @@ mod tests {
             CampaignRunOptions {
                 threads: 1,
                 max_jobs: Some(1),
-                ..CampaignRunOptions::default()
             },
         )
         .expect("runs");

@@ -25,9 +25,6 @@ pub fn is_scenario_dir(dir: &Path) -> bool {
 }
 
 fn open(dir: &Path, options: CampaignRunOptions) -> Result<ScenarioCampaign, ToolError> {
-    if options.no_mmap {
-        std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
-    }
     let campaign = ScenarioCampaign::open(dir)?;
     Ok(if options.threads > 0 {
         campaign.with_threads(options.threads)
@@ -74,9 +71,6 @@ pub fn cmd_scenario_run(
         source,
     })?;
     let matrix = ScenarioMatrix::decode(text.trim())?;
-    if options.no_mmap {
-        std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
-    }
     let mut campaign = ScenarioCampaign::create(dir, matrix)?;
     if options.threads > 0 {
         campaign = campaign.with_threads(options.threads);
