@@ -45,6 +45,12 @@ pub enum ClockmarkError {
     },
     /// The experiment was configured with zero measurement cycles.
     ZeroCycles,
+    /// The allocator refused the experiment's one cycle-length array, the
+    /// chip's total power (8 bytes per cycle).
+    TraceTooLong {
+        /// The configured measurement cycles.
+        cycles: usize,
+    },
 }
 
 impl fmt::Display for ClockmarkError {
@@ -74,6 +80,10 @@ impl fmt::Display for ClockmarkError {
             ClockmarkError::ZeroCycles => {
                 write!(f, "experiment needs at least one measurement cycle")
             }
+            ClockmarkError::TraceTooLong { cycles } => write!(
+                f,
+                "cannot reserve the total power of {cycles} cycles (8 bytes per cycle)"
+            ),
         }
     }
 }

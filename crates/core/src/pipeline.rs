@@ -1,12 +1,19 @@
 use crate::{ClockmarkError, EmbeddedWatermark, WatermarkArchitecture};
-use clockmark_cpa::{DetectionCriterion, DetectionResult, Detector, SpreadSpectrum};
-use clockmark_measure::Acquisition;
+use clockmark_cpa::{
+    CpaError, DetectMode, DetectionCriterion, DetectionResult, Detector, Session, SpreadSpectrum,
+};
+use clockmark_measure::{Acquisition, MeasuredTrace};
 use clockmark_netlist::Netlist;
 use clockmark_power::{EnergyLibrary, Frequency, Power, PowerModel, PowerTrace};
 use clockmark_sim::{CycleSim, SignalDriver};
 use clockmark_soc::Soc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Cycles the pipeline simulates and prices per step. Only the chip's
+/// total power spans the whole run; the activity and per-group power of
+/// one step are this long.
+const CHUNK: usize = 4096;
 
 /// Which test chip provides the background activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +225,10 @@ impl Experiment {
             let watermark = architecture.embed(&mut netlist, clk.into())?;
             (netlist, watermark)
         };
-        self.measure_embedded_with(&netlist, &watermark, Vec::new())
+        let (total, mut rng, mut run) =
+            self.power_embedded_with(&netlist, &watermark, Vec::new())?;
+        run.measured = self.acquisition.acquire(&total, &mut rng);
+        Ok(run)
     }
 
     /// Like [`run_embedded`](Experiment::run_embedded) but with additional
@@ -242,70 +252,109 @@ impl Experiment {
             .field("seed", self.seed)
             .field("enabled", self.watermark_enabled);
         clockmark_obs::counter_add("experiment.runs", 1);
-        let run = self.measure_embedded_with(netlist, watermark, extra_drivers)?;
-        run.analyse(&self.criterion).map_err(ClockmarkError::from)
+        let (total, mut rng, run) = self.power_embedded_with(netlist, watermark, extra_drivers)?;
+
+        // 5. Digitise through the shunt + scope chain, folding each
+        //    measured chunk as it comes: `Y` is never held whole.
+        let mut session = Detector::new(&run.pattern)?.session(DetectMode::Fixed)?;
+        self.acquisition
+            .acquire_chunks(&total, &mut rng, |chunk| session.push_chunk(chunk));
+        drop(total);
+        run.judge(&session, &self.criterion)
+            .map_err(ClockmarkError::from)
     }
 
-    /// The shared measurement chain: simulate → price → add background →
-    /// digitise. Both [`run_embedded_with`](Experiment::run_embedded_with)
-    /// and [`run_measured`](Experiment::run_measured) end up here.
-    fn measure_embedded_with(
+    /// Steps 2–4 of the pipeline: simulate, price and add the background.
+    /// Both [`run_embedded_with`](Experiment::run_embedded_with) and
+    /// [`run_measured`](Experiment::run_measured) start here.
+    ///
+    /// The chip's total power is the one array that spans the run, since
+    /// the scope's DC offset is its mean. It is reserved before the first
+    /// simulated cycle and filled with the SoC background first, whose rng
+    /// draws all precede the scope's. The watermark circuit is then
+    /// simulated and priced [`CHUNK`] cycles at a time and added into it in
+    /// place. Returns the total power, the rng at the scope's first draw,
+    /// and the run's power summary with `measured` still empty.
+    fn power_embedded_with(
         &self,
         netlist: &Netlist,
         watermark: &EmbeddedWatermark,
         extra_drivers: Vec<(clockmark_netlist::SignalId, SignalDriver)>,
-    ) -> Result<MeasuredRun, ClockmarkError> {
+    ) -> Result<(PowerTrace, StdRng, MeasuredRun), ClockmarkError> {
+        let cycles = self.cycles;
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut total = Vec::new();
+        total
+            .try_reserve_exact(cycles)
+            .map_err(|_| ClockmarkError::TraceTooLong { cycles })?;
 
-        // 2. Simulate the watermark circuit's switching activity.
-        let activity = {
-            let _span =
-                clockmark_obs::span("experiment.simulate").field("phase_offset", self.phase_offset);
-            let mut sim = CycleSim::new(netlist)?;
-            sim.drive(
-                watermark.enable,
-                SignalDriver::Constant(self.watermark_enabled),
-            )?;
-            for (signal, driver) in extra_drivers {
-                sim.drive(signal, driver)?;
+        // 2. The SoC background, summarised before it becomes the total.
+        let background = {
+            let _span = clockmark_obs::span("experiment.background");
+            match self.chip.build()? {
+                Some(mut soc) => {
+                    for _ in 0..cycles {
+                        total.push(soc.step_cycle(&mut rng)?.watts());
+                    }
+                }
+                None => total.resize(cycles, Power::ZERO.watts()),
             }
-            for _ in 0..self.phase_offset {
-                sim.step();
-            }
-            sim.run(self.cycles)?
+            PowerTrace::from_watts(total)
         };
+        let (background_mean, background_std) = (background.mean(), background.std_dev());
+        let mut total = background.into_watts();
 
-        // 3. Price it, including leakage of every register on the die.
-        let _power_span = clockmark_obs::span("experiment.power");
+        // 3. Simulate the watermark circuit's switching activity and 4.
+        //    price it, including leakage of every register on the die,
+        //    into the total one chunk at a time. The watermark group's
+        //    sum and peak run over the series in the order
+        //    `PowerTrace::mean` and `max` read it, the sum from -0.0 as
+        //    `Iterator::sum` starts.
+        let simulate_span =
+            clockmark_obs::span("experiment.simulate").field("phase_offset", self.phase_offset);
+        let mut sim = CycleSim::new(netlist)?;
+        sim.drive(
+            watermark.enable,
+            SignalDriver::Constant(self.watermark_enabled),
+        )?;
+        for (signal, driver) in extra_drivers {
+            sim.drive(signal, driver)?;
+        }
+        for _ in 0..self.phase_offset {
+            sim.step();
+        }
         let model = PowerModel::new(self.library, self.f_clk);
-        let mut chip_power = model.trace(&activity);
-        chip_power.add_offset(model.static_power(netlist.register_count()));
-        let watermark_power = model.group_trace(&activity, watermark.group);
-        drop(_power_span);
+        let leakage = model.static_power(netlist.register_count());
+        let (mut watermark_sum, mut watermark_peak) = (-0.0f64, None::<f64>);
+        for chunk in total.chunks_mut(CHUNK) {
+            let activity = sim.run(chunk.len())?;
+            let _power_span = clockmark_obs::span("experiment.power");
+            let mut chip_power = model.trace(&activity);
+            chip_power.add_offset(leakage);
+            // (dynamic + static) + background; IEEE addition commutes.
+            for (t, &chip) in chunk.iter_mut().zip(chip_power.as_watts()) {
+                *t += chip;
+            }
+            for &w in model.group_trace(&activity, watermark.group).as_watts() {
+                watermark_sum += w;
+                watermark_peak = Some(watermark_peak.map_or(w, |peak| peak.max(w)));
+            }
+        }
+        drop(simulate_span);
 
-        // 4. Add the SoC background.
-        let _bg_span = clockmark_obs::span("experiment.background");
-        let background = match self.chip.build()? {
-            Some(mut soc) => soc.run(self.cycles, &mut rng)?,
-            None => PowerTrace::constant(Power::ZERO, self.cycles),
-        };
-        let total = chip_power.checked_add(&background)?;
-        drop(_bg_span);
-
-        // 5. Digitise through the shunt + scope chain.
-        let measured = self.acquisition.acquire(&total, &mut rng);
-
-        Ok(MeasuredRun {
-            measured,
+        let total = PowerTrace::from_watts(total);
+        let run = MeasuredRun {
+            measured: MeasuredTrace::default(),
             pattern: watermark.pattern.clone(),
-            watermark_mean: watermark_power.mean(),
-            watermark_peak: watermark_power.max().unwrap_or(Power::ZERO),
-            background_mean: background.mean(),
-            background_std: background.std_dev(),
+            watermark_mean: Power::from_watts(watermark_sum / cycles as f64),
+            watermark_peak: watermark_peak.map_or(Power::ZERO, Power::from_watts),
+            background_mean,
+            background_std,
             total_mean: total.mean(),
-            cycles: self.cycles,
+            cycles,
             expected_peak_rotation: self.phase_offset % watermark.period().max(1),
-        })
+        };
+        Ok((total, rng, run))
     }
 }
 
@@ -342,22 +391,39 @@ impl MeasuredRun {
     /// Step 6 of the pipeline: rotational CPA against the expected
     /// sequence, turning the raw measurement into a detection verdict.
     ///
-    /// The spectrum kernel is whatever the [`Detector`] facade resolves
-    /// — the `CLOCKMARK_CPA_ALGO` override when set, else the work
-    /// heuristic (FFT at paper scale, folded below). Every kernel
-    /// reports a bit-identical peak, so the verdict does not depend on
-    /// the choice (see `docs/cpa-fft.md`).
+    /// `Y` is folded through a [`DetectMode::Fixed`] session, exactly as
+    /// [`Experiment::run`] folds it while digitising. The spectrum kernel
+    /// is the one the [`Detector`] facade resolves — the
+    /// `CLOCKMARK_CPA_ALGO` override when set, else the work heuristic
+    /// (FFT at paper scale, folded below) — with `naive` evaluated by the
+    /// folded arithmetic, since a fold keeps no raw trace. Every kernel
+    /// reports a bit-identical peak (see `docs/cpa-fft.md`).
     ///
     /// # Errors
     ///
-    /// Returns a [`CpaError`](clockmark_cpa::CpaError) when the
-    /// measurement is too short for one watermark period or the pattern
-    /// is degenerate.
-    pub fn analyse(
+    /// Returns a [`CpaError`] when the measurement is too short for one
+    /// watermark period or the pattern is degenerate.
+    pub fn analyse(&self, criterion: &DetectionCriterion) -> Result<ExperimentOutcome, CpaError> {
+        let mut session = Detector::new(&self.pattern)?.session(DetectMode::Fixed)?;
+        session.push_chunk(self.measured.as_watts());
+        self.judge(&session, criterion)
+    }
+
+    /// The one analysis of a fold of `Y`, which [`analyse`](Self::analyse)
+    /// and [`Experiment::run`] share: the spectrum, its verdict and
+    /// p-value, and this run's power summary. Reads no `measured` sample.
+    fn judge(
         &self,
+        session: &Session,
         criterion: &DetectionCriterion,
-    ) -> Result<ExperimentOutcome, clockmark_cpa::CpaError> {
-        let spectrum = Detector::new(&self.pattern)?.spectrum(self.measured.as_watts())?;
+    ) -> Result<ExperimentOutcome, CpaError> {
+        if session.cycles() < session.period() as u64 {
+            return Err(CpaError::TraceShorterThanPeriod {
+                have: session.cycles() as usize,
+                need: session.period(),
+            });
+        }
+        let spectrum = session.spectrum()?;
         let detection = spectrum.detect(criterion);
         if clockmark_obs::enabled() {
             clockmark_obs::counter_add("experiment.detections", u64::from(detection.detected));
@@ -433,6 +499,7 @@ impl std::fmt::Display for ExperimentOutcome {
 mod tests {
     use super::*;
     use crate::{ClockModulationWatermark, LoadCircuitWatermark, WgcConfig};
+    use clockmark_measure::PdnModel;
 
     fn small_arch() -> ClockModulationWatermark {
         ClockModulationWatermark {
@@ -547,6 +614,137 @@ mod tests {
         assert_eq!(direct.p_value.to_bits(), replayed.p_value.to_bits());
         assert_eq!(measured.measured.as_watts().len(), 10_000);
         assert_eq!(measured.cycles, 10_000);
+    }
+
+    /// `Experiment::run` composed from whole-trace layer calls in the
+    /// order the pipeline made them before it streamed: simulate, price,
+    /// background, add, acquire, spectrum.
+    fn reference(
+        e: &Experiment,
+        arch: &ClockModulationWatermark,
+    ) -> Result<ExperimentOutcome, ClockmarkError> {
+        let mut netlist = Netlist::new();
+        let clk = netlist.add_clock_root("clk");
+        let watermark = arch.embed(&mut netlist, clk.into())?;
+        let mut rng = StdRng::seed_from_u64(e.seed);
+        let mut sim = CycleSim::new(&netlist)?;
+        sim.drive(
+            watermark.enable,
+            SignalDriver::Constant(e.watermark_enabled),
+        )?;
+        for _ in 0..e.phase_offset {
+            sim.step();
+        }
+        let activity = sim.run(e.cycles)?;
+        let model = PowerModel::new(e.library, e.f_clk);
+        let mut chip_power = model.trace(&activity);
+        chip_power.add_offset(model.static_power(netlist.register_count()));
+        let watermark_power = model.group_trace(&activity, watermark.group);
+        let background = match e.chip.build()? {
+            Some(mut soc) => soc.run(e.cycles, &mut rng)?,
+            None => PowerTrace::constant(Power::ZERO, e.cycles),
+        };
+        let total = chip_power.checked_add(&background)?;
+        let measured = e.acquisition.acquire(&total, &mut rng);
+        let spectrum = Detector::new(&watermark.pattern)?.spectrum(measured.as_watts())?;
+        Ok(ExperimentOutcome {
+            detection: spectrum.detect(&e.criterion),
+            p_value: spectrum.peak_p_value(e.cycles),
+            spectrum,
+            watermark_mean: watermark_power.mean(),
+            watermark_peak: watermark_power.max().unwrap_or(Power::ZERO),
+            background_mean: background.mean(),
+            background_std: background.std_dev(),
+            total_mean: total.mean(),
+            cycles: e.cycles,
+            expected_peak_rotation: e.phase_offset % watermark.period().max(1),
+        })
+    }
+
+    /// Every field of an outcome, floats as their bits.
+    fn bits(o: &ExperimentOutcome) -> Vec<u64> {
+        let d = &o.detection;
+        let mut bits = vec![
+            u64::from(d.detected),
+            d.peak_rotation as u64,
+            d.peak_rho.to_bits(),
+            d.floor_max_abs.to_bits(),
+            d.ratio.to_bits(),
+            d.zscore.to_bits(),
+            o.p_value.to_bits(),
+            o.watermark_mean.watts().to_bits(),
+            o.watermark_peak.watts().to_bits(),
+            o.background_mean.watts().to_bits(),
+            o.background_std.watts().to_bits(),
+            o.total_mean.watts().to_bits(),
+            o.cycles as u64,
+            o.expected_peak_rotation as u64,
+        ];
+        bits.extend(o.spectrum.rho().iter().map(|r| r.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn streamed_run_matches_the_whole_trace_reference_bit_for_bit() {
+        let arch = small_arch();
+        let mut pdn = Experiment::quick(CHUNK + 1, 33);
+        pdn.acquisition.pdn = PdnModel::typical();
+        let mut bare = Experiment::quick(CHUNK, 34).disabled();
+        bare.chip = ChipModel::Bare;
+        let mut chip_ii = Experiment::quick(2 * CHUNK + 123, 31).disabled();
+        chip_ii.chip = ChipModel::ChipII;
+        let mut chip_ii_short = Experiment::quick(CHUNK / 2 + 1, 32);
+        chip_ii_short.chip = ChipModel::ChipII;
+        let cases = [
+            (
+                "chip I, not a multiple of the chunk",
+                Experiment::quick(2 * CHUNK + 123, 30),
+            ),
+            ("chip II, disabled", chip_ii),
+            ("chip II, shorter than a chunk", chip_ii_short),
+            ("PDN-active chain", pdn),
+            ("bare chip, exactly one chunk", bare),
+        ];
+        for (label, experiment) in cases {
+            let streamed = experiment.run(&arch).expect(label);
+            let whole = reference(&experiment, &arch).expect(label);
+            assert_eq!(bits(&streamed), bits(&whole), "{label}");
+        }
+    }
+
+    #[test]
+    fn a_run_shorter_than_one_period_fails_as_the_reference_does() {
+        // The width-8 pattern has period 255.
+        let experiment = Experiment::quick(200, 35);
+        let streamed = experiment.run(&small_arch()).expect_err("too short");
+        let whole = reference(&experiment, &small_arch()).expect_err("too short");
+        assert!(
+            matches!(
+                streamed,
+                ClockmarkError::Cpa(CpaError::TraceShorterThanPeriod {
+                    have: 200,
+                    need: 255
+                })
+            ),
+            "{streamed}"
+        );
+        assert_eq!(streamed.to_string(), whole.to_string());
+    }
+
+    #[test]
+    fn an_impossible_cycle_count_is_an_error_before_any_simulation() {
+        let experiment = Experiment::quick(usize::MAX, 1);
+        for result in [
+            experiment.run(&small_arch()).map(|_| ()),
+            experiment.run_measured(&small_arch()).map(|_| ()),
+        ] {
+            let err = result.expect_err("cannot be held");
+            assert!(
+                matches!(err, ClockmarkError::TraceTooLong { cycles: usize::MAX }),
+                "{err}"
+            );
+            assert!(err.to_string().contains(&usize::MAX.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -138,6 +138,32 @@ mod tests {
     }
 
     #[test]
+    fn a_disabled_experiment_floor_is_the_null_sigma() {
+        // The floor of an unmarked run is ≈ N(0, 1/√N) (Fig. 5b/5d print
+        // σ = 0.00183 against 1/√300,000 = 0.001826). The paper's chain
+        // and pattern (P = 4095) at a reduced N: over seeds 1–30 on both
+        // chips, σ·√N stayed within 3% of 1.
+        const N: usize = 20_000;
+        for (chip, seed) in [
+            (Experiment::paper_chip_i(), 1),
+            (Experiment::paper_chip_ii(), 2),
+        ] {
+            let mut experiment = chip.with_seed(seed).disabled();
+            experiment.cycles = N;
+            let outcome = experiment
+                .run(&ClockModulationWatermark::paper())
+                .expect("runs");
+            let null_sigma = 1.0 / (N as f64).sqrt();
+            let sigma = outcome.spectrum.floor_std();
+            assert!(
+                (sigma - null_sigma).abs() <= 0.05 * null_sigma,
+                "{:?} seed {seed}: floor σ {sigma:.6} vs 1/√N {null_sigma:.6}",
+                experiment.chip
+            );
+        }
+    }
+
+    #[test]
     fn paper_scale_cycle_budget_is_consistent() {
         // With the calibrated chain, detecting the 1.51 mW watermark at
         // z = 5 needs well under the paper's 300,000 cycles — the paper's

@@ -11,7 +11,9 @@
 //! as it was, `scan` records the CRC the reader checked, and only
 //! `verify`, which knows the file's size from the manifest, reports it.
 //! A sequential campaign may end `Ok` on any mutant, because an early
-//! stop skips the CRC by design.
+//! stop skips the CRC by design. A valid trace swapped in under the
+//! indexed one's name is consistent with itself, and only `verify`, which
+//! compares its CRC with the manifest's, reports it.
 
 use clockmark::{AttackSpec, Campaign, CampaignError, CampaignLimits, CampaignSpec, ScenarioSpec};
 use clockmark_corpus::{decode_trace, Corpus, CorpusError, TraceHeader};
@@ -269,4 +271,38 @@ fn a_forged_header_is_refused_before_it_drives_an_allocation() {
     assert!(matches!(err, CorpusError::Format { .. }), "{err}");
     let err = run_campaign(&dir.0.join("forged_run"), &scenario).expect_err("refused");
     assert!(matches!(err, CampaignError::Corpus(_)), "{err}");
+}
+
+/// Another valid trace with the same name, header and size but other
+/// samples, copied over the indexed one, carries a footer CRC that
+/// matches its own samples; `verify` fails it on the manifest's CRC.
+#[test]
+fn a_valid_trace_swapped_in_fails_verify() {
+    let dir = TempDir::new("swapped_trace");
+    let (first, second) = (dir.0.join("first"), dir.0.join("second"));
+    fixture(&first);
+    let other: Vec<f64> = (0..CYCLES).map(|i| (i % 7) as f64 * 0.1).collect();
+    let mut donor = Corpus::create(&second).expect("creates");
+    let donor_crc = donor
+        .add("t", TraceHeader::bare(0), &other)
+        .expect("adds")
+        .crc32;
+    let swapped = fs::read(second.join("traces/t.cmt")).expect("reads");
+    assert_eq!(swapped.len(), FILE_LEN, "same size");
+    fs::write(first.join("traces/t.cmt"), &swapped).expect("swaps");
+
+    let corpus = Corpus::open(&first).expect("opens");
+    let indexed_crc = corpus.entry("t").expect("indexed").crc32;
+    assert_ne!(indexed_crc, donor_crc);
+    let (samples, crc32) = drain(&corpus).expect("the swapped trace reads as valid");
+    assert_eq!((samples, crc32), (other, donor_crc));
+    let verified = corpus.verify().expect("verifies");
+    assert!(!verified[0].ok, "verify passed a swapped trace");
+    for crc in [indexed_crc, donor_crc] {
+        assert!(
+            verified[0].detail.contains(&format!("{crc:08x}")),
+            "{}",
+            verified[0].detail
+        );
+    }
 }

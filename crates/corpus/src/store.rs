@@ -216,8 +216,11 @@ impl Corpus {
     }
 
     /// Verifies every stored trace against the manifest: file size,
-    /// header metadata, and a full streaming CRC check. Never stops at
-    /// the first failure — fleet verification wants the complete picture.
+    /// header metadata, and a full streaming CRC check whose result must
+    /// match both the trace's footer and the manifest's `crc32`, so a
+    /// valid trace swapped in under another's name fails too. Never
+    /// stops at the first failure — fleet verification wants the
+    /// complete picture.
     ///
     /// # Errors
     ///
@@ -299,7 +302,11 @@ impl Corpus {
             ));
         }
         match reader.finish() {
-            Ok(_) => None,
+            Ok((_, crc32)) if crc32 == entry.crc32 => None,
+            Ok((_, crc32)) => Some(format!(
+                "CRC mismatch: manifest says crc32 {:08x}, trace has {crc32:08x}",
+                entry.crc32
+            )),
             Err(e) => Some(e.to_string()),
         }
     }

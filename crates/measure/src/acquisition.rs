@@ -3,6 +3,10 @@ use crate::{NoiseModel, Oscilloscope, PdnModel, ShuntProbe};
 use clockmark_power::{Frequency, Power, PowerTrace};
 use rand::Rng;
 
+/// Measured cycles [`Acquisition::acquire_chunks`] hands its sink at a
+/// time.
+const SINK_CHUNK: usize = 4096;
+
 /// The per-cycle measured vector `Y` of the CPA detector.
 ///
 /// Stored in power-equivalent watts (converted back through the shunt), so
@@ -173,10 +177,26 @@ impl Acquisition {
     /// level is auto-offset to the trace mean so the signal stays inside
     /// the ADC range, exactly like centring the trace on a scope screen.
     pub fn acquire<R: Rng + ?Sized>(&self, power: &PowerTrace, rng: &mut R) -> MeasuredTrace {
+        let mut watts = Vec::with_capacity(power.len());
+        self.acquire_chunks(power, rng, |chunk| watts.extend_from_slice(chunk));
+        MeasuredTrace { watts }
+    }
+
+    /// Digitises exactly as [`acquire`](Self::acquire) does, but hands the
+    /// measured vector `Y` to `sink` in consecutive chunks of at most a few
+    /// thousand cycles instead of collecting it. The chunks concatenate to
+    /// `acquire`'s output bit for bit, and the rng ends where `acquire`
+    /// leaves it, so a caller that only folds `Y` (a detection session)
+    /// never holds a cycle-length copy of it.
+    pub fn acquire_chunks<R, S>(&self, power: &PowerTrace, rng: &mut R, sink: S)
+    where
+        R: Rng + ?Sized,
+        S: FnMut(&[f64]),
+    {
         let _span = clockmark_obs::span("measure.acquire")
             .field("cycles", power.len())
             .field("samples_per_cycle", self.samples_per_cycle().max(1));
-        self.digitise(power, rng, |cycle, _| cycle)
+        self.digitise(power, rng, |cycle, _| cycle, sink);
     }
 
     /// Digitises a per-cycle power trace while the device clock is under a
@@ -209,13 +229,20 @@ impl Acquisition {
         let mut dev: usize = 0;
         let mut dev_end = t_cycle * attack.cycle_duration(0);
         let last = power.len().saturating_sub(1);
-        self.digitise(power, rng, move |_, t| {
-            while t >= dev_end && dev < last {
-                dev += 1;
-                dev_end += t_cycle * attack.cycle_duration(dev as u64);
-            }
-            dev
-        })
+        let mut watts = Vec::with_capacity(power.len());
+        self.digitise(
+            power,
+            rng,
+            move |_, t| {
+                while t >= dev_end && dev < last {
+                    dev += 1;
+                    dev_end += t_cycle * attack.cycle_duration(dev as u64);
+                }
+                dev
+            },
+            |chunk| watts.extend_from_slice(chunk),
+        );
+        MeasuredTrace { watts }
     }
 
     /// The sampling kernel both captures share. Every nominal cycle takes
@@ -224,11 +251,13 @@ impl Acquisition {
     /// `t`, smoothed by the PDN, plus drift, ripple and white noise, each
     /// quantised; their mean is the cycle's value. The rng is consumed as
     /// one fixed stream of normals (drift, then the cycle's samples), so
-    /// both captures draw exactly the same count.
-    fn digitise<R, D>(&self, power: &PowerTrace, rng: &mut R, mut device_cycle: D) -> MeasuredTrace
+    /// both captures draw exactly the same count. The cycle values go to
+    /// `sink` in order, [`SINK_CHUNK`] at a time (the last chunk shorter).
+    fn digitise<R, D, S>(&self, power: &PowerTrace, rng: &mut R, mut device_cycle: D, mut sink: S)
     where
         R: Rng + ?Sized,
         D: FnMut(usize, f64) -> usize,
+        S: FnMut(&[f64]),
     {
         let cycles = power.len();
         let k = self.samples_per_cycle().max(1);
@@ -244,7 +273,7 @@ impl Acquisition {
         let pdn_alpha = pdn.alpha(dt);
 
         let power = power.as_watts();
-        let mut watts = Vec::with_capacity(cycles);
+        let mut chunk = Vec::with_capacity(cycles.min(SINK_CHUNK));
         let mut normals = NormalStream::new(cycles.saturating_mul(k.saturating_add(1)));
         let mut drift = 0.0f64;
         // PDN state: board voltage tracking the die voltage with a
@@ -288,11 +317,17 @@ impl Acquisition {
                 s += white.len();
             }
             let v_avg = acc / k as f64 + dc_offset;
-            watts.push(shunt.volts_to_power(v_avg).watts());
+            chunk.push(shunt.volts_to_power(v_avg).watts());
+            if chunk.len() == SINK_CHUNK {
+                sink(&chunk);
+                chunk.clear();
+            }
+        }
+        if !chunk.is_empty() {
+            sink(&chunk);
         }
         clockmark_obs::counter_add("measure.cycles", cycles as u64);
         clockmark_obs::counter_add("measure.samples", cycles.saturating_mul(k) as u64);
-        MeasuredTrace { watts }
     }
 }
 
@@ -434,6 +469,28 @@ mod tests {
         let y = chain().acquire(&PowerTrace::new(), &mut StdRng::seed_from_u64(1));
         assert!(y.is_empty());
         assert_eq!(y.into_power_trace().len(), 0);
+    }
+
+    #[test]
+    fn chunked_capture_concatenates_to_acquire() {
+        use rand::RngCore;
+        for cycles in [0, 1, SINK_CHUNK, 2 * SINK_CHUNK + 17] {
+            let power = square_wave(cycles);
+            let mut whole_rng = StdRng::seed_from_u64(51);
+            let whole = chain().acquire(&power, &mut whole_rng);
+            let mut chunked_rng = StdRng::seed_from_u64(51);
+            let mut chunks = Vec::new();
+            chain().acquire_chunks(&power, &mut chunked_rng, |chunk| {
+                chunks.push(chunk.to_vec())
+            });
+            assert!(
+                chunks.iter().all(|c| (1..=SINK_CHUNK).contains(&c.len())),
+                "{cycles} cycles"
+            );
+            let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&chunks.concat()), bits(whole.as_watts()), "{cycles}");
+            assert_eq!(whole_rng.next_u64(), chunked_rng.next_u64(), "{cycles}");
+        }
     }
 
     #[test]

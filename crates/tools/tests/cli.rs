@@ -167,6 +167,39 @@ fn usage_errors_exit_nonzero_with_help() {
     assert!(stderr.contains("--lfsr or --bits"), "{stderr}");
 }
 
+/// Cycles no allocator can hold are refused with an error before the
+/// first simulated cycle. The address-space limit turns a regression
+/// into a quick abort rather than a run that grows until the host runs
+/// out of memory.
+#[cfg(unix)]
+#[test]
+fn an_impossible_cycle_count_is_an_error_not_an_abort() {
+    let dir = TempDir::new("huge");
+    let corpus = dir.path("corpus");
+    let cycles = usize::MAX.to_string();
+    let build = [
+        "corpus", "build", &corpus, "--chips", "i", "--seeds", "1..1", "--cycles", &cycles,
+        "--width", "8",
+    ];
+    let experiment = ["experiment", "--cycles", &cycles];
+    for args in [&build[..], &experiment[..]] {
+        let output = Command::new("sh")
+            .args(["-c", "ulimit -v 2000000 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_clockmark-cli"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "cannot reserve the total power of {cycles} cycles"
+            )),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = run_ok(cli().arg("--help"));
